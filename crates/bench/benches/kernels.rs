@@ -85,7 +85,7 @@ fn main() {
     });
     let mut engine = MusicEngine::new(one_win);
     bench("music_window_w100_sub50_engine", 5, || {
-        black_box(engine.process_window(&win_trace).0[90]);
+        black_box(engine.process_window(&win_trace)[90]);
     });
 
     let bf = IsarConfig {

@@ -5,6 +5,7 @@
 use wivi_bench::report;
 use wivi_bench::runner::parallel_map;
 use wivi_core::baseline::doppler_motion_energy;
+use wivi_core::device::DEFAULT_BATCH_LEN;
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 use wivi_sdr::{MimoFrontend, RadioConfig};
@@ -36,7 +37,8 @@ fn nulled_margin(material: Material, seed: u64) -> f64 {
         }
         let mut dev = WiViDevice::new(scene, WiViConfig::paper_default(), seed);
         dev.calibrate();
-        dev.measure_spatial_variance(6.0).max(1.0)
+        dev.measure_spatial_variance_streaming(6.0, DEFAULT_BATCH_LEN)
+            .max(1.0)
     };
     var(true) / var(false)
 }

@@ -2,6 +2,7 @@
 //! curved line (the person) plus the straight DC line.
 
 use wivi_bench::report;
+use wivi_core::device::DEFAULT_BATCH_LEN;
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 
@@ -29,7 +30,7 @@ fn main() {
         .with_mover(Mover::human(path));
     let mut dev = WiViDevice::new(scene, WiViConfig::paper_default(), 52);
     dev.calibrate();
-    let spec = dev.track(duration);
+    let spec = dev.track_streaming(duration, DEFAULT_BATCH_LEN);
     println!("\n{}", spec.render_ascii(19, 72));
     println!("dominant non-DC angle per second:");
     let per_s = (1.0 / (spec.times_s[1] - spec.times_s[0])).round() as usize;

@@ -1,6 +1,7 @@
 //! Figure 5-3 — Wi-Vi tracks two humans: two curved lines plus the DC.
 
 use wivi_bench::report;
+use wivi_core::device::DEFAULT_BATCH_LEN;
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 
@@ -35,6 +36,6 @@ fn main() {
         .with_mover(Mover::human(b));
     let mut dev = WiViDevice::new(scene, WiViConfig::paper_default(), 53);
     dev.calibrate();
-    let spec = dev.track(duration);
+    let spec = dev.track_streaming(duration, DEFAULT_BATCH_LEN);
     println!("\n{}", spec.render_ascii(19, 72));
 }

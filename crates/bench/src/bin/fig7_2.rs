@@ -5,6 +5,7 @@ use wivi_bench::report;
 use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::{counting_scene, Room};
 use wivi_bench::trials;
+use wivi_core::device::DEFAULT_BATCH_LEN;
 use wivi_core::{WiViConfig, WiViDevice};
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
         let scene = counting_scene(Room::Small, n, seed, 7.0);
         let mut dev = WiViDevice::new(scene, WiViConfig::paper_default(), seed);
         dev.calibrate();
-        let spec = dev.track(7.0);
+        let spec = dev.track_streaming(7.0, DEFAULT_BATCH_LEN);
         (n, s, spec.render_ascii(13, 64))
     });
     for (n, s, art) in panels {

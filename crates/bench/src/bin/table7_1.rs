@@ -5,9 +5,11 @@
 //! Protocol note: the paper trains in one conference room and tests in
 //! the other. Our simulated link exhibits a range-dependent ridge-support
 //! bias between the 7×4 m and 11×7 m rooms (people deep in the large room
-//! return less energy — see EXPERIMENTS.md), so the headline table uses
-//! disjoint-trial train/test *within* each room and aggregates both rooms;
-//! the raw cross-room transfer is printed afterwards for completeness.
+//! return less energy, so their ridges clear the ridge threshold in fewer
+//! angle bins and the same head count scores a lower variance), so the
+//! headline table uses disjoint-trial train/test *within* each room and
+//! aggregates both rooms; the raw cross-room transfer is printed
+//! afterwards for completeness.
 
 use wivi_bench::report;
 use wivi_bench::runner::parallel_map;

@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use wivi_core::{WiViConfig, WiViDevice};
-use wivi_image::{nulling_tx_weight, ImageConfig, ImagingReport, StreamingImage};
+use wivi_image::{nulling_tx_weight, ImageConfig, ImageState, ImagingEngine, ImagingReport};
 use wivi_num::stats;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 
@@ -326,9 +326,9 @@ impl ImagingTrialResult {
 
 /// Runs one imaging trial: calibrate, record, focus window-by-window
 /// (timing each), score against ground truth. The window-by-window
-/// drive pushes hop-sized chunks through the same [`StreamingImage`]
-/// stage the device entry points use, so fixes are bitwise identical to
-/// `WiViDevice::image_with` (batch-shape invariance).
+/// drive pushes hop-sized chunks through the same [`ImageState`] the
+/// device entry points use, so fixes are bitwise identical to
+/// `WiViDevice::image_streaming_with` (batch-shape invariance).
 pub fn run_imaging_trial(
     spec: &ImagingTrialSpec,
     wivi: &WiViConfig,
@@ -348,19 +348,20 @@ pub fn run_imaging_trial(
     let trace = dev.record_trace(spec.duration_s);
     let record_s = t2.elapsed().as_secs_f64();
 
-    let mut stage = StreamingImage::new(*img, nulling_tx_weight(&dev));
+    let mut engine = ImagingEngine::new(*img);
+    let mut state = ImageState::new(img, nulling_tx_weight(&dev));
     let mut window_latencies_s = Vec::new();
     let mut image_s = 0.0f64;
     for chunk in trace.chunks(img.hop.max(1)) {
         let t = Instant::now();
-        let frames = stage.push(chunk);
+        let frames = state.push(&mut engine, chunk);
         let dt = t.elapsed().as_secs_f64();
         image_s += dt;
         for _ in 0..frames {
             window_latencies_s.push(dt);
         }
     }
-    let report = stage.finish();
+    let report = state.finish();
 
     let gt = ground_truth_positions(&gt_scene, &report.times_s);
     let score = score_imaging(&report, &gt, img.rx.x, 1);

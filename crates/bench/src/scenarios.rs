@@ -8,6 +8,7 @@
 
 use wivi_num::rng::Rng64;
 
+use wivi_core::device::DEFAULT_BATCH_LEN;
 use wivi_core::gesture::GestureDecode;
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_rf::{
@@ -87,7 +88,7 @@ pub fn run_counting_trial(room: Room, n_humans: usize, trial_seed: u64, duration
     let scene = counting_scene(room, n_humans, trial_seed, duration_s);
     let mut dev = WiViDevice::new(scene, WiViConfig::paper_default(), trial_seed);
     dev.calibrate();
-    dev.measure_spatial_variance(duration_s)
+    dev.measure_spatial_variance_streaming(duration_s, DEFAULT_BATCH_LEN)
 }
 
 /// A deterministic multi-person tracking showcase: up to three subjects
@@ -200,7 +201,7 @@ impl GestureTrial {
         let (scene, duration) = self.scene();
         let mut dev = WiViDevice::new(scene, WiViConfig::paper_default(), self.seed);
         dev.calibrate();
-        let decode = dev.decode_gestures(duration);
+        let decode = dev.decode_gestures_streaming(duration, DEFAULT_BATCH_LEN);
         GestureOutcome {
             sent: self.bits.clone(),
             decoded: decode.bits.clone(),

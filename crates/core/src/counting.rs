@@ -7,18 +7,22 @@
 //! variance over the trace, and classifies the result against thresholds
 //! learned from labelled training trials.
 //!
-//! Two conveniences of the formulation: the DC ridge sits at θ = 0 and is
-//! annihilated by the `θ`/`θ²` weights, and dB weighting compresses the
-//! enormous dynamic range of the MUSIC pseudospectrum. We weight with the
-//! per-window *ridge-thresholded* dB map (grass below
-//! [`RIDGE_THRESHOLD_DB`] above the floor is zeroed — without this, the
-//! MUSIC noise speckle visible in Fig. 7-2's backgrounds dominates the
-//! moment sums and the count classes saturate), normalizing by the total
-//! weight — the paper's Eq. 5.4/5.5 written as a proper weighted moment;
-//! the CDF *shape* and the class ordering match Fig. 7-3, the absolute
-//! scale is arbitrary (documented in EXPERIMENTS.md).
+//! The moment is taken over each window's *ridge* bins only (grass less
+//! than [`RIDGE_THRESHOLD_DB`] above the floor is dropped — without this,
+//! the MUSIC noise speckle visible in Fig. 7-2's backgrounds dominates
+//! the moment sums and the count classes saturate), and the DC ridge at
+//! θ = 0 is annihilated by the `θ²` weight; [`window_spatial_variance`]
+//! gives the exact form. The CDF *shape* and the class ordering match
+//! Fig. 7-3, but the absolute scale is arbitrary: it counts ridge bins ×
+//! deg², so it depends on the angle grid. That is why the class
+//! thresholds are learned from training trials, not taken from the
+//! paper.
 
+use wivi_num::Complex64;
+
+use crate::music::{MusicConfig, MusicEngine};
 use crate::spectrogram::{is_ridge_bin, AngleSpectrogram};
+use crate::stage::SharedStreamingMusic;
 
 /// dB-above-floor below which a MUSIC bin counts as noise grass rather
 /// than a ridge (see [`AngleSpectrogram::db_ridges`]).
@@ -82,8 +86,8 @@ pub fn spatial_variance_profile(spec: &AngleSpectrogram) -> Vec<f64> {
 
 /// The [`spatial_variance_profile`] statistic of a single window, from its
 /// *linear*-power pseudospectrum row. This is the per-column kernel shared
-/// by the offline profile and the [`StreamingVariance`] sink, so the
-/// streaming count statistic matches the one-shot path exactly.
+/// by the spectrogram profile and the streaming [`CountState`], so the two
+/// compute the same count statistic.
 pub fn window_spatial_variance(thetas_deg: &[f64], power_row: &[f64]) -> f64 {
     thetas_deg
         .iter()
@@ -100,41 +104,61 @@ pub fn mean_spatial_variance(spec: &AngleSpectrogram) -> f64 {
     profile.iter().sum::<f64>() / profile.len() as f64
 }
 
-/// The counting statistic as a streaming sink: feed it `A′[θ, n]` columns
-/// as the tracker completes them and read the running mean at any point —
-/// no spectrogram needs to be materialized. Column-for-column it computes
-/// exactly [`window_spatial_variance`], so a fully drained sink equals
-/// [`mean_spatial_variance`] of the equivalent offline spectrogram.
-#[derive(Clone, Debug, Default)]
-pub struct StreamingVariance {
+/// Mode 1 counting session state: each MUSIC column is folded into the
+/// spatial-variance statistic as soon as its window completes, and
+/// nothing is retained, so memory stays bounded by one analysis window
+/// however long the device monitors. Column for column it computes
+/// [`window_spatial_variance`], so it equals [`mean_spatial_variance`] of
+/// the same samples' spectrogram.
+#[derive(Clone, Debug)]
+pub struct CountState {
+    stage: SharedStreamingMusic,
     sum: f64,
-    n: usize,
 }
 
-impl StreamingVariance {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accumulates one spectrogram column (linear power per angle).
-    pub fn push_column(&mut self, thetas_deg: &[f64], power_row: &[f64]) {
-        self.sum += window_spatial_variance(thetas_deg, power_row);
-        self.n += 1;
-    }
-
-    /// Columns accumulated so far.
-    pub fn n_columns(&self) -> usize {
-        self.n
-    }
-
-    /// The running mean spatial variance.
+impl CountState {
+    /// Creates the state for engines built from `cfg`.
     ///
     /// # Panics
-    /// Panics if no columns have been pushed.
-    pub fn mean(&self) -> f64 {
-        assert!(self.n > 0, "no spectrogram columns accumulated");
-        self.sum / self.n as f64
+    /// Panics on an invalid configuration.
+    pub fn new(cfg: &MusicConfig) -> Self {
+        Self {
+            stage: SharedStreamingMusic::new(cfg),
+            sum: 0.0,
+        }
+    }
+
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &MusicConfig {
+        self.stage.cfg()
+    }
+
+    /// Feeds a batch of nulled channel samples through `engine`,
+    /// returning the number of new columns.
+    ///
+    /// # Panics
+    /// Panics if `engine` was built for a different configuration.
+    pub fn push(&mut self, engine: &mut MusicEngine, samples: &[Complex64]) -> usize {
+        let sum = &mut self.sum;
+        self.stage
+            .push_with(engine, samples, |_start, thetas, row| {
+                *sum += window_spatial_variance(thetas, row);
+            })
+    }
+
+    /// Columns folded so far.
+    pub fn n_columns(&self) -> usize {
+        self.stage.n_columns()
+    }
+
+    /// The mean spatial variance over every column.
+    ///
+    /// # Panics
+    /// Panics if no analysis window completed.
+    pub fn finish(self) -> f64 {
+        let n = self.stage.n_columns();
+        assert!(n > 0, "no spectrogram columns accumulated");
+        self.sum / n as f64
     }
 }
 
@@ -395,19 +419,28 @@ mod tests {
     }
 
     #[test]
-    fn streaming_variance_matches_offline_mean_exactly() {
-        let spec = spec_with_spikes(&[(9, 1000.0), (13, 100.0), (3, 40.0)]);
-        let mut sink = StreamingVariance::new();
-        for row in &spec.power {
-            sink.push_column(&spec.thetas_deg, row);
+    fn count_state_equals_the_spectrogram_mean_exactly() {
+        use crate::isar::synthetic_target_trace;
+        use crate::music::music_spectrum;
+        let cfg = MusicConfig::fast_test();
+        let mut trace = synthetic_target_trace(&cfg.isar, 150, 1.0, 4.0, 0.5);
+        let second = synthetic_target_trace(&cfg.isar, 150, 0.8, 6.0, -0.6);
+        for (a, b) in trace.iter_mut().zip(&second) {
+            *a += *b;
         }
-        assert_eq!(sink.n_columns(), spec.n_times());
-        assert_eq!(sink.mean(), mean_spatial_variance(&spec));
+        let expect = mean_spatial_variance(&music_spectrum(&trace, &cfg));
+        assert!(expect > 0.0, "trace shows no ridges to count");
+        let mut engine = MusicEngine::new(cfg);
+        let mut state = CountState::new(&cfg);
+        for chunk in trace.chunks(16) {
+            state.push(&mut engine, chunk);
+        }
+        assert_eq!(state.finish().to_bits(), expect.to_bits());
     }
 
     #[test]
     #[should_panic(expected = "no spectrogram columns")]
-    fn streaming_variance_requires_columns() {
-        let _ = StreamingVariance::new().mean();
+    fn count_state_requires_columns() {
+        let _ = CountState::new(&MusicConfig::fast_test()).finish();
     }
 }

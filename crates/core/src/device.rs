@@ -6,25 +6,25 @@
 //! the trace to the mode-specific processor — MUSIC tracking / counting
 //! (mode 1, §3.2) or gesture decoding (mode 2).
 //!
-//! Each mode has two shapes. The `*_streaming` entry points run the real
-//! device's pipeline: observations arrive from the front-end in fixed-size
-//! batches and flow through a [`Stage`] that emits
+//! Every mode runs the real device's one pipeline: [`WiViDevice::stream`]
+//! delivers observations from the front-end in fixed-size batches, and
+//! each batch is pushed through the mode's per-session state (see
+//! [`crate::stage`]) with an engine the entry point owns. The state emits
 //! spectrogram columns as analysis windows complete, holding only one
-//! window of samples. The offline one-shot methods ([`WiViDevice::track`],
-//! [`WiViDevice::decode_gestures`]) materialize the trace first; both
-//! shapes produce bitwise-identical outputs.
+//! window of samples, and a serving shard runs the same state with its
+//! cached engine.
 
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
-use wivi_sdr::{MimoFrontend, Observation, RadioConfig};
+use wivi_sdr::{MimoFrontend, RadioConfig};
 
-use crate::counting::{mean_spatial_variance, StreamingVariance};
-use crate::gesture::{decode, GestureDecode, GestureDecoderConfig};
-use crate::isar::beamform_spectrum;
-use crate::music::{music_spectrum, MusicConfig};
+use crate::counting::CountState;
+use crate::gesture::{GestureDecode, GestureDecoderConfig, GesturesState};
+use crate::isar::BeamformEngine;
+use crate::music::{MusicConfig, MusicEngine};
 use crate::nulling::{run_nulling, NullingConfig, NullingReport};
 use crate::spectrogram::AngleSpectrogram;
-use crate::stage::{Stage, StreamingBeamform, StreamingMusic};
+use crate::stage::TrackState;
 
 /// Default number of observations per batch for the streaming entry
 /// points: 16 channel samples ≈ 51 ms at the paper's 312.5 Hz rate — the
@@ -125,23 +125,20 @@ impl WiViDevice {
     }
 
     /// Number of channel samples a recording of `duration_s` seconds
-    /// produces — the one conversion both the offline and streaming paths
-    /// use, so their bitwise-equivalence contract cannot be broken by the
-    /// two rounding independently. Public so external drivers (the
-    /// tracking extension, the serving engine) share it too.
+    /// produces — the one conversion every caller (the device entry
+    /// points, the serving engine) uses, so none can round differently.
     pub fn trace_len(&self, duration_s: f64) -> usize {
         (duration_s * self.cfg.radio.channel_rate_hz).round() as usize
     }
 
     /// Observes `n` residual-channel samples (subcarrier-combined) into
     /// `out` (cleared first) — the *resumable* streaming drive: unlike
-    /// the one-shot `*_streaming` entry points, which consume a whole
-    /// recording in one call, a serving engine calls this once per batch
-    /// and interleaves many sessions' batches on one worker. Repeated
-    /// calls produce exactly the sample sequence one
-    /// [`observe_stream`](wivi_sdr::MimoFrontend::observe_stream) drain
-    /// would — the front-end advances identically — so incremental
-    /// serving output stays bitwise identical to the standalone device.
+    /// [`Self::stream`], which consumes a whole recording in one call, a
+    /// serving engine calls this once per batch and interleaves many
+    /// sessions' batches on one worker. Any split of a recording into
+    /// calls produces the same sample sequence — the front-end advances
+    /// identically — so served output stays bitwise identical to the
+    /// standalone device.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated.
@@ -168,110 +165,87 @@ impl WiViDevice {
         self.fe.record_trace(n)
     }
 
-    /// Mode 1 — imaging/tracking: records a trace and runs smoothed MUSIC,
-    /// producing the paper's `A′[θ, n]`. Offline one-shot shape; the
-    /// device's real cadence is [`Self::track_streaming`].
-    pub fn track(&mut self, duration_s: f64) -> AngleSpectrogram {
-        let trace = self.record_trace(duration_s);
-        music_spectrum(&trace, &self.cfg.music)
-    }
-
-    /// Mode 1, streaming shape: observations flow from the front-end in
-    /// `batch_len`-sample batches through a [`StreamingMusic`] stage that
-    /// emits spectrogram columns as windows complete. Output is bitwise
-    /// identical to [`Self::track`]; memory is bounded by one analysis
-    /// window instead of the trial length.
+    /// Streams `duration_s` seconds of the nulled residual channel
+    /// (subcarrier-combined) through `push`, in batches of `batch_len`
+    /// samples (the last one may be shorter) — the one drive loop behind
+    /// every device entry point.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated or `batch_len == 0`.
-    pub fn track_streaming(&mut self, duration_s: f64, batch_len: usize) -> AngleSpectrogram {
-        let mut stage = StreamingMusic::new(self.cfg.music);
-        self.run_stage(duration_s, batch_len, &mut stage, |_, _| {});
-        stage.finish()
-    }
-
-    /// Mode 1 — counting support: the trial's mean spatial variance
-    /// (classify it with a trained
-    /// [`VarianceClassifier`](crate::counting::VarianceClassifier)).
-    pub fn measure_spatial_variance(&mut self, duration_s: f64) -> f64 {
-        let spec = self.track(duration_s);
-        mean_spatial_variance(&spec)
-    }
-
-    /// Mode 1 counting, streaming shape: the spatial-variance statistic is
-    /// folded column-by-column through a [`StreamingVariance`] sink as the
-    /// tracker emits them — the full pipeline never materializes a trace
-    /// *or* a spectrogram. Equals [`Self::measure_spatial_variance`]
-    /// exactly.
-    ///
-    /// # Panics
-    /// Panics if the device has not been calibrated, `batch_len == 0`, or
-    /// the duration is shorter than one analysis window.
-    pub fn measure_spatial_variance_streaming(&mut self, duration_s: f64, batch_len: usize) -> f64 {
-        let mut stage = StreamingMusic::sink_only(self.cfg.music);
-        let mut sink = StreamingVariance::new();
-        self.run_stage(duration_s, batch_len, &mut stage, |thetas, row| {
-            sink.push_column(thetas, row);
-        });
-        sink.mean()
-    }
-
-    /// Mode 2 — gesture interface: records a trace, beamforms it
-    /// (Eq. 5.1 — the amplitude-bearing spectrum the matched filter
-    /// needs; see [`crate::gesture::signed_amplitude_track`]), and decodes
-    /// the gesture message. Offline one-shot shape.
-    pub fn decode_gestures(&mut self, duration_s: f64) -> GestureDecode {
-        let trace = self.record_trace(duration_s);
-        let spec = beamform_spectrum(&trace, &self.cfg.music.isar);
-        decode(&spec, &self.cfg.gesture)
-    }
-
-    /// Mode 2, streaming shape: the beamformer consumes observation
-    /// batches incrementally; the matched-filter decode runs once the
-    /// message window closes (the decoder needs the whole track for its
-    /// noise reference). Bitwise identical to [`Self::decode_gestures`].
-    ///
-    /// # Panics
-    /// Panics if the device has not been calibrated or `batch_len == 0`.
-    pub fn decode_gestures_streaming(
+    pub fn stream(
         &mut self,
         duration_s: f64,
         batch_len: usize,
-    ) -> GestureDecode {
-        let mut stage = StreamingBeamform::new(self.cfg.music.isar);
-        self.run_stage(duration_s, batch_len, &mut stage, |_, _| {});
-        let spec = stage.finish();
-        decode(&spec, &self.cfg.gesture)
-    }
-
-    /// Drives one tracker stage over `duration_s` of batched observations,
-    /// invoking `on_column(thetas, row)` for every newly completed
-    /// spectrogram column — the composition point between the radio
-    /// stream, a tracker [`Stage`], and any incremental sink.
-    fn run_stage(
-        &mut self,
-        duration_s: f64,
-        batch_len: usize,
-        stage: &mut dyn Stage,
-        mut on_column: impl FnMut(&[f64], &[f64]),
+        mut push: impl FnMut(&[Complex64]),
     ) {
         assert!(
             self.report.is_some(),
             "call calibrate() before recording traces"
         );
-        let total = self.trace_len(duration_s);
-        let mut stream = self.fe.observe_stream(total, batch_len);
-        let mut batch: Vec<Observation> = Vec::with_capacity(batch_len);
-        let mut samples: Vec<Complex64> = Vec::with_capacity(batch_len);
-        loop {
-            let got = stream.next_batch_into(&mut batch);
-            if got == 0 {
-                break;
-            }
-            samples.clear();
-            samples.extend(batch.iter().map(Observation::combined));
-            stage.push_with(&samples, &mut on_column);
+        assert!(batch_len > 0, "batch length must be positive");
+        let mut left = self.trace_len(duration_s);
+        let mut batch = Vec::with_capacity(batch_len.min(left));
+        while left > 0 {
+            let n = left.min(batch_len);
+            self.observe_batch_into(n, &mut batch);
+            push(&batch);
+            left -= n;
         }
+    }
+
+    /// Mode 1 — imaging/tracking: smoothed MUSIC over `duration_s` of
+    /// `batch_len`-sample batches, producing the paper's `A′[θ, n]`.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated, `batch_len == 0`, or
+    /// the duration is shorter than one analysis window.
+    pub fn track_streaming(&mut self, duration_s: f64, batch_len: usize) -> AngleSpectrogram {
+        let music = self.cfg.music;
+        let (mut engine, mut state) = (MusicEngine::new(music), TrackState::new(&music));
+        self.stream(duration_s, batch_len, |batch| {
+            state.push(&mut engine, batch);
+        });
+        state.finish()
+    }
+
+    /// Mode 1 counting: the trial's mean spatial variance (classify it
+    /// with a trained
+    /// [`VarianceClassifier`](crate::counting::VarianceClassifier)),
+    /// folded column by column — neither a trace nor a spectrogram is
+    /// ever materialized.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated, `batch_len == 0`, or
+    /// the duration is shorter than one analysis window.
+    pub fn measure_spatial_variance_streaming(&mut self, duration_s: f64, batch_len: usize) -> f64 {
+        let music = self.cfg.music;
+        let (mut engine, mut state) = (MusicEngine::new(music), CountState::new(&music));
+        self.stream(duration_s, batch_len, |batch| {
+            state.push(&mut engine, batch);
+        });
+        state.finish()
+    }
+
+    /// Mode 2 — gesture interface: beamforms the batches (Eq. 5.1 — the
+    /// amplitude-bearing spectrum the matched filter needs; see
+    /// [`crate::gesture::signed_amplitude_track`]) and decodes the
+    /// gesture message once the message window closes.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated, `batch_len == 0`, or
+    /// the duration is shorter than one analysis window.
+    pub fn decode_gestures_streaming(
+        &mut self,
+        duration_s: f64,
+        batch_len: usize,
+    ) -> GestureDecode {
+        let isar = self.cfg.music.isar;
+        let mut engine = BeamformEngine::new(isar);
+        let mut state = GesturesState::new(&isar, self.cfg.gesture);
+        self.stream(duration_s, batch_len, |batch| {
+            state.push(&mut engine, batch);
+        });
+        state.finish()
     }
 
     /// Current scene time, seconds.
@@ -310,7 +284,7 @@ mod tests {
     fn calibrate_then_track_static_scene_shows_only_dc() {
         let mut dev = WiViDevice::new(static_scene(), WiViConfig::fast_test(), 1);
         dev.calibrate();
-        let spec = dev.track(1.5);
+        let spec = dev.track_streaming(1.5, DEFAULT_BATCH_LEN);
         // Dominant energy at θ ≈ 0 in (almost) all windows.
         let mut dc_wins = 0;
         for t in 0..spec.n_times() {
@@ -338,11 +312,11 @@ mod tests {
         )));
         let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 2);
         dev.calibrate();
-        let v_moving = dev.measure_spatial_variance(2.5);
+        let v_moving = dev.measure_spatial_variance_streaming(2.5, DEFAULT_BATCH_LEN);
 
         let mut dev2 = WiViDevice::new(static_scene(), WiViConfig::fast_test(), 2);
         dev2.calibrate();
-        let v_static = dev2.measure_spatial_variance(2.5);
+        let v_static = dev2.measure_spatial_variance_streaming(2.5, DEFAULT_BATCH_LEN);
 
         assert!(
             v_moving > 2.0 * v_static,
@@ -366,7 +340,7 @@ mod tests {
         let scene = static_scene().with_mover(Mover::human(script));
         let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 3);
         dev.calibrate();
-        let d = dev.decode_gestures(total);
+        let d = dev.decode_gestures_streaming(total, DEFAULT_BATCH_LEN);
         assert_eq!(
             d.bits.first().copied().flatten(),
             Some(false),
@@ -383,6 +357,22 @@ mod tests {
             let _ = dev.record_trace(0.5);
         }));
         assert!(r.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "trace shorter")]
+    fn track_needs_one_full_analysis_window() {
+        let mut dev = WiViDevice::new(static_scene(), WiViConfig::fast_test(), 5);
+        dev.calibrate();
+        let _ = dev.track_streaming(0.05, DEFAULT_BATCH_LEN);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch length must be positive")]
+    fn stream_rejects_zero_batch() {
+        let mut dev = WiViDevice::new(static_scene(), WiViConfig::fast_test(), 4);
+        dev.calibrate();
+        dev.stream(0.5, 0, |_| {});
     }
 
     #[test]

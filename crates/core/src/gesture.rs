@@ -17,7 +17,11 @@
 //! 4. pair consecutive gestures into bits: (+, −) → '0', (−, +) → '1'
 //!    (Fig. 6-3(b)).
 
+use wivi_num::Complex64;
+
+use crate::isar::{BeamformEngine, IsarConfig};
 use crate::spectrogram::AngleSpectrogram;
+use crate::stage::BeamformState;
 
 /// Decoder tuning.
 #[derive(Clone, Copy, Debug)]
@@ -266,6 +270,56 @@ pub fn decode(spec: &AngleSpectrogram, cfg: &GestureDecoderConfig) -> GestureDec
         times_s: spec.times_s.clone(),
         gestures,
         bits,
+    }
+}
+
+/// Mode 2 session state: beamform incrementally, decode the gesture
+/// message when the session closes (the decoder needs the whole track for
+/// its noise reference).
+#[derive(Clone, Debug)]
+pub struct GesturesState {
+    beam: BeamformState,
+    cfg: GestureDecoderConfig,
+}
+
+impl GesturesState {
+    /// Creates the state for beamform engines built from `isar`,
+    /// decoding with `cfg`.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration.
+    pub fn new(isar: &IsarConfig, cfg: GestureDecoderConfig) -> Self {
+        Self {
+            beam: BeamformState::new(isar),
+            cfg,
+        }
+    }
+
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &IsarConfig {
+        self.beam.cfg()
+    }
+
+    /// Feeds a batch of nulled channel samples through `engine`,
+    /// returning the number of new columns.
+    ///
+    /// # Panics
+    /// Panics if `engine` was built for a different configuration.
+    pub fn push(&mut self, engine: &mut BeamformEngine, samples: &[Complex64]) -> usize {
+        self.beam.push(engine, samples)
+    }
+
+    /// Columns produced so far.
+    pub fn n_columns(&self) -> usize {
+        self.beam.n_columns()
+    }
+
+    /// Decodes the message over every column produced.
+    ///
+    /// # Panics
+    /// Panics if no analysis window completed.
+    pub fn finish(self) -> GestureDecode {
+        decode(&self.beam.finish(), &self.cfg)
     }
 }
 

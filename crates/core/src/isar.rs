@@ -22,7 +22,7 @@
 use wivi_num::Complex64;
 
 use crate::spectrogram::AngleSpectrogram;
-use crate::stage::{Stage, StreamingBeamform};
+use crate::stage::BeamformState;
 
 /// Parameters of the emulated array.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,7 +90,7 @@ impl IsarConfig {
     }
 
     /// Centre time of the analysis window starting at absolute sample
-    /// `start` — the one expression every surface (streaming stages, the
+    /// `start` — the one expression every surface (session states, the
     /// tracker's report, the serving engine) uses for window timestamps,
     /// so they can never round differently.
     pub fn window_center_s(&self, start: usize) -> f64 {
@@ -122,12 +122,10 @@ impl IsarConfig {
 }
 
 /// The reusable per-window Bartlett beamformer (Eq. 5.1): precomputed
-/// steering vectors applied to one emulated-array window at a time. Shared
-/// by the offline [`beamform_spectrum`] and the incremental
-/// [`StreamingBeamform`] stage.
+/// steering vectors applied to one emulated-array window at a time,
+/// borrowed per batch by [`BeamformState`].
 pub struct BeamformEngine {
     cfg: IsarConfig,
-    thetas: Vec<f64>,
     /// Per-angle steering vectors of window length.
     steering: Vec<Vec<Complex64>>,
 }
@@ -139,26 +137,17 @@ impl BeamformEngine {
     /// Panics on an invalid configuration (see [`IsarConfig::validate`]).
     pub fn new(cfg: IsarConfig) -> Self {
         cfg.validate();
-        let thetas = cfg.thetas_deg();
-        let steering: Vec<Vec<Complex64>> = thetas
+        let steering: Vec<Vec<Complex64>> = cfg
+            .thetas_deg()
             .iter()
             .map(|&th| cfg.steering_vector(th, cfg.window))
             .collect();
-        Self {
-            cfg,
-            thetas,
-            steering,
-        }
+        Self { cfg, steering }
     }
 
     /// The engine's configuration.
     pub fn cfg(&self) -> &IsarConfig {
         &self.cfg
-    }
-
-    /// The angle grid shared by every emitted row.
-    pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
     }
 
     /// Beamforms one window into a `|A[θ, n]|²` row.
@@ -184,19 +173,16 @@ impl BeamformEngine {
 /// smoothed-MUSIC estimator is compared against (§5.2 footnote 6: "more
 /// noise ... significant side lobes").
 ///
-/// Offline entry point over the same [`StreamingBeamform`] stage the
-/// incremental pipeline uses, so the two agree bit-for-bit.
+/// The whole trace as one push of the [`BeamformState`] the gesture mode
+/// streams through.
+///
+/// # Panics
+/// Panics on an invalid configuration or a trace shorter than one
+/// analysis window.
 pub fn beamform_spectrum(trace: &[Complex64], cfg: &IsarConfig) -> AngleSpectrogram {
-    cfg.validate();
-    assert!(
-        trace.len() >= cfg.window,
-        "trace shorter ({}) than the analysis window ({})",
-        trace.len(),
-        cfg.window
-    );
-    let mut stage = StreamingBeamform::new(*cfg);
-    stage.push(trace);
-    stage.finish()
+    let mut state = BeamformState::new(cfg);
+    state.push(&mut BeamformEngine::new(*cfg), trace);
+    state.finish()
 }
 
 /// Synthesizes the ideal nulled channel of a point target closing range at

@@ -21,17 +21,18 @@
 //! * [`gesture`] — the through-wall gesture channel (Ch. 6): matched
 //!   filters, peak detection with the 3 dB SNR rule, and bit decoding
 //!   with erasures.
-//! * [`stage`] — the composable streaming pipeline: trackers as
-//!   [`Stage`]s that consume channel-sample batches incrementally and
-//!   emit `A′[θ, n]` columns as analysis windows complete, bitwise
-//!   identical to the offline entry points.
+//! * [`stage`] — the streaming pipeline: per-session states that consume
+//!   channel-sample batches through a borrowed per-window engine and emit
+//!   `A′[θ, n]` columns as analysis windows complete — the one
+//!   implementation of every mode, for the device and the serving shards
+//!   alike.
 //! * [`cache`] — the keyed engine registry serving shards share their
 //!   per-window engines through: any crate registers its engine type via
 //!   [`ShardEngine`], and same-configuration sessions share one resident
 //!   engine.
 //! * [`device`] — [`WiViDevice`], the end-to-end device tying all stages
-//!   together in the paper's two operating modes, with both one-shot and
-//!   batch-streaming entry points.
+//!   together in the paper's two operating modes, with one batch-streaming
+//!   drive loop behind every entry point.
 //! * [`baseline`] — comparison systems: conventional beamforming (what
 //!   MUSIC is shown to beat in §5.2) and a narrowband Doppler detector
 //!   without nulling (the related-work approach the flash defeats, §2.1).
@@ -48,12 +49,11 @@ pub mod spectrogram;
 pub mod stage;
 
 pub use cache::{EngineCache, ShardEngine};
+pub use counting::CountState;
 pub use device::{WiViConfig, WiViDevice};
+pub use gesture::GesturesState;
 pub use isar::{BeamformEngine, IsarConfig};
 pub use music::{MusicConfig, MusicEngine};
 pub use nulling::{NullingConfig, NullingReport};
 pub use spectrogram::AngleSpectrogram;
-pub use stage::{
-    SharedStreamingBeamform, SharedStreamingMusic, Stage, StreamingBeamform, StreamingMusic,
-    WindowBuffer,
-};
+pub use stage::{BeamformState, SharedStreamingMusic, TrackState, WindowBuffer};

@@ -25,7 +25,7 @@ use wivi_num::{simd, CMatrix, Complex64};
 
 use crate::isar::IsarConfig;
 use crate::spectrogram::AngleSpectrogram;
-use crate::stage::{Stage, StreamingMusic};
+use crate::stage::TrackState;
 
 /// Smoothed-MUSIC parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,16 +92,6 @@ impl MusicConfig {
     }
 }
 
-/// One analysis window's eigen-structure (exposed for diagnostics and the
-/// ablation benches).
-#[derive(Clone, Debug)]
-pub struct WindowEigen {
-    /// Eigenvalues, descending.
-    pub eigenvalues: Vec<f64>,
-    /// Estimated signal-subspace dimension.
-    pub n_signal: usize,
-}
-
 /// Computes the smoothed correlation matrix of one window (Eq. 5.2 with
 /// the §5.2 smoothing step).
 pub fn smoothed_correlation(window: &[Complex64], subarray: usize) -> CMatrix {
@@ -133,14 +123,12 @@ pub fn smoothed_correlation_into(window: &[Complex64], subarray: usize, r: &mut 
 }
 
 /// The reusable per-window smoothed-MUSIC processor: precomputed steering
-/// vectors plus correlation/eigendecomposition scratch. One engine serves
-/// both the offline [`music_spectrum`] path and the incremental
-/// [`StreamingMusic`] stage, so the two are
-/// bitwise identical by construction; window-rate processing performs no
-/// heap allocation beyond the emitted row itself.
+/// vectors plus correlation/eigendecomposition scratch, borrowed per
+/// batch by [`TrackState`] and the other MUSIC session states.
+/// Window-rate processing performs no heap allocation beyond the emitted
+/// row itself.
 pub struct MusicEngine {
     cfg: MusicConfig,
-    thetas: Vec<f64>,
     /// The steering table transposed to antenna-major order: row `i`
     /// holds element `i` of every angle's steering vector
     /// (`sub × n_angles`). Angle-contiguous rows let the projection run
@@ -167,13 +155,14 @@ impl MusicEngine {
     /// Panics on an invalid configuration (see [`MusicConfig::validate`]).
     pub fn new(cfg: MusicConfig) -> Self {
         cfg.validate();
-        let thetas = cfg.isar.thetas_deg();
-        let steering: Vec<Vec<Complex64>> = thetas
+        let steering: Vec<Vec<Complex64>> = cfg
+            .isar
+            .thetas_deg()
             .iter()
             .map(|&th| cfg.isar.steering_vector(th, cfg.subarray))
             .collect();
         // Transpose to antenna-major (see the field docs).
-        let n_angles = thetas.len();
+        let n_angles = steering.len();
         let mut steer_flat = vec![Complex64::ZERO; cfg.subarray * n_angles];
         for (ang, e) in steering.iter().enumerate() {
             for (i, &ei) in e.iter().enumerate() {
@@ -182,7 +171,6 @@ impl MusicEngine {
         }
         Self {
             cfg,
-            thetas,
             steer_flat,
             e_norm_sqr: cfg.subarray as f64,
             corr: CMatrix::zeros(cfg.subarray, cfg.subarray),
@@ -197,17 +185,11 @@ impl MusicEngine {
         &self.cfg
     }
 
-    /// The angle grid shared by every emitted row.
-    pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
-    }
-
-    /// Processes one analysis window into a pseudospectrum row (Eq. 5.3)
-    /// plus its eigen-structure.
+    /// Processes one analysis window into a pseudospectrum row (Eq. 5.3).
     ///
     /// # Panics
     /// Panics if `window.len()` differs from the configured window.
-    pub fn process_window(&mut self, window: &[Complex64]) -> (Vec<f64>, WindowEigen) {
+    pub fn process_window(&mut self, window: &[Complex64]) -> Vec<f64> {
         assert_eq!(window.len(), self.cfg.isar.window, "window length mismatch");
         let _span = wivi_obs::span("music.window");
         smoothed_correlation_into(window, self.cfg.subarray, &mut self.corr);
@@ -226,7 +208,7 @@ impl MusicEngine {
         // (eigenvector, antenna) pair over the angle-contiguous steering
         // row. Each angle still sums its terms in the historical
         // `i`-then-`j` order, so the row is bitwise unchanged.
-        let n_angles = self.thetas.len();
+        let n_angles = self.proj.len();
         let sub = self.cfg.subarray;
         self.sig_proj.iter_mut().for_each(|s| *s = 0.0);
         for j in 0..n_signal {
@@ -241,8 +223,7 @@ impl MusicEngine {
         }
         // One aggregated probe flush for the whole projection loop.
         wivi_num::probe::count_kernel(wivi_num::probe::Kernel::Caxpy, (n_signal * sub) as u64);
-        let row: Vec<f64> = self
-            .sig_proj
+        self.sig_proj
             .iter()
             .map(|&sig_proj| {
                 let noise_norm = (e_norm_sqr - sig_proj).max(e_norm_sqr * 1e-12);
@@ -252,13 +233,7 @@ impl MusicEngine {
                 // thresholds, spatial variance) rely on.
                 e_norm_sqr / noise_norm
             })
-            .collect();
-
-        let eigen = WindowEigen {
-            eigenvalues: self.eig_ws.values().to_vec(),
-            n_signal,
-        };
-        (row, eigen)
+            .collect()
     }
 }
 
@@ -291,32 +266,16 @@ pub fn signal_subspace_dim(
 }
 
 /// Runs smoothed MUSIC over a nulled-channel trace, producing the paper's
-/// `A′[θ, n]` (Eq. 5.3) as an [`AngleSpectrogram`], plus the per-window
-/// eigen-structure.
+/// `A′[θ, n]` (Eq. 5.3) as an [`AngleSpectrogram`]: the whole trace as
+/// one push of the [`TrackState`] every MUSIC mode streams through.
 ///
-/// This is the *offline* entry point; it drives the same
-/// [`StreamingMusic`] stage the incremental pipeline uses, fed in one
-/// push, so batch-incremental and one-shot processing agree bit-for-bit.
-pub fn music_spectrum_with_eigen(
-    trace: &[Complex64],
-    cfg: &MusicConfig,
-) -> (AngleSpectrogram, Vec<WindowEigen>) {
-    cfg.validate();
-    assert!(
-        trace.len() >= cfg.isar.window,
-        "trace shorter ({}) than the analysis window ({})",
-        trace.len(),
-        cfg.isar.window
-    );
-    let mut stage = StreamingMusic::new(*cfg);
-    stage.push(trace);
-    stage.finish_with_eigen()
-}
-
-/// Runs smoothed MUSIC over a nulled-channel trace (the common entry
-/// point; discards the eigen diagnostics).
+/// # Panics
+/// Panics on an invalid configuration or a trace shorter than one
+/// analysis window.
 pub fn music_spectrum(trace: &[Complex64], cfg: &MusicConfig) -> AngleSpectrogram {
-    music_spectrum_with_eigen(trace, cfg).0
+    let mut state = TrackState::new(cfg);
+    state.push(&mut MusicEngine::new(*cfg), trace);
+    state.finish()
 }
 
 #[cfg(test)]
@@ -398,11 +357,27 @@ mod tests {
     #[test]
     fn eigen_count_tracks_source_count() {
         let cfg = MusicConfig::fast_test();
+        // Mean signal-subspace dimension over the trace's windows.
+        let mean_dim = |trace: &[Complex64]| {
+            let starts: Vec<usize> = (0..=trace.len() - cfg.isar.window)
+                .step_by(cfg.isar.hop)
+                .collect();
+            let dims = starts.iter().map(|&s| {
+                let r = smoothed_correlation(&trace[s..s + cfg.isar.window], cfg.subarray);
+                let values = hermitian_eig(&r).values;
+                signal_subspace_dim(
+                    &values,
+                    cfg.signal_threshold_db,
+                    cfg.max_sources,
+                    cfg.noise_floor_power,
+                )
+            });
+            dims.sum::<usize>() as f64 / starts.len() as f64
+        };
         // One clean synthetic target: signal dimension should stay small.
         let mut one = synthetic_target_trace(&cfg.isar, 200, 1.0, 4.0, 0.5);
         add_noise(&mut one, 0.01, 4);
-        let (_, eig1) = music_spectrum_with_eigen(&one, &cfg);
-        let mean1: f64 = eig1.iter().map(|e| e.n_signal as f64).sum::<f64>() / eig1.len() as f64;
+        let mean1 = mean_dim(&one);
 
         let mut three = synthetic_target_trace(&cfg.isar, 200, 1.0, 4.0, 0.5);
         add_traces(
@@ -414,8 +389,7 @@ mod tests {
             &synthetic_target_trace(&cfg.isar, 200, 1.0, 6.0, 0.9),
         );
         add_noise(&mut three, 0.01, 5);
-        let (_, eig3) = music_spectrum_with_eigen(&three, &cfg);
-        let mean3: f64 = eig3.iter().map(|e| e.n_signal as f64).sum::<f64>() / eig3.len() as f64;
+        let mean3 = mean_dim(&three);
 
         assert!(
             mean3 > mean1,

@@ -1,95 +1,38 @@
-//! Composable streaming stages.
+//! Per-session streaming state: the one implementation of every
+//! spectrogram mode.
 //!
 //! The real Wi-Vi device is a *streaming* system: the paper drops the OFDM
 //! bandwidth from 20 MHz to 5 MHz precisely so that nulling and tracking
-//! keep up with the channel rate (§7.1). The seed reproduction instead
-//! materialized a whole trial's trace and processed it in one offline
-//! pass. This module restores the streaming shape: a [`Stage`] consumes
+//! keep up with the channel rate (§7.1). Every mode therefore consumes
 //! nulled channel samples in whatever batch sizes the radio delivers and
-//! emits `A′[θ, n]` columns incrementally, as soon as each analysis window
-//! completes.
-//!
-//! The pipeline composes as
+//! emits `A′[θ, n]` columns as soon as each analysis window completes:
 //!
 //! ```text
-//! nulling (calibration)            wivi_core::nulling::run_nulling
-//!   → batched observation stream   wivi_sdr::MimoFrontend::observe_stream
-//!     → tracker stage              StreamingMusic / StreamingBeamform
-//!       → partial spectrogram      Stage::rows() as columns arrive
-//!         → counting / gestures    counting::StreamingVariance, gesture::decode
+//! nulling (calibration)         wivi_core::nulling::run_nulling
+//!   → sample batches            WiViDevice::stream (observe_batch_into)
+//!     → windowing               SharedStreamingMusic / BeamformState
+//!       → per-session fold      TrackState, CountState, GesturesState, …
 //! ```
 //!
-//! Both tracker stages drive the exact same per-window engines the
-//! offline entry points use ([`MusicEngine`], [`BeamformEngine`]), so
-//! incremental and one-shot processing are **bitwise identical** — the
-//! property the `streaming_equivalence` integration test pins down.
-//! Window-rate processing reuses the engines' scratch (correlation
-//! matrix, eigendecomposition workspace, steering tables) with zero heap
-//! allocation beyond the emitted rows themselves, and the internal sample
-//! buffer is trimmed as windows complete. Retention of the emitted
-//! columns is the caller's choice: a tracking run keeps them for the
-//! final spectrogram, while a pure sink pipeline
-//! ([`StreamingMusic::sink_only`] + [`Stage::push_with`]) keeps nothing,
-//! so its memory stays bounded by the window length — not the trial
-//! length.
+//! A session state holds only what is genuinely per-session — the
+//! sliding [`WindowBuffer`] and whatever the mode folds columns into —
+//! and borrows the heavy per-window engine ([`MusicEngine`],
+//! [`BeamformEngine`]) at every push. The device entry points pass an
+//! engine they own; a serving shard passes the one it caches for every
+//! same-configuration session ([`crate::EngineCache`]). An engine's output
+//! depends only on its configuration and the window (its scratch is fully
+//! overwritten every call), so both callers emit the same bits, for any
+//! batch split of the same samples. Window-rate processing reuses the
+//! engines' scratch with no heap allocation beyond the emitted rows, and
+//! the sample buffer is trimmed as windows complete.
 
 use wivi_num::Complex64;
 
 use crate::isar::{BeamformEngine, IsarConfig};
-use crate::music::{MusicConfig, MusicEngine, WindowEigen};
+use crate::music::{MusicConfig, MusicEngine};
 use crate::spectrogram::AngleSpectrogram;
 
-/// A streaming tracker stage: push channel-sample batches in, get
-/// spectrogram columns out.
-///
-/// Implementations must be *batch-shape invariant*: any partition of the
-/// same sample sequence into pushes yields the same columns.
-///
-/// By default a stage retains every emitted column so [`Stage::finish`]
-/// can assemble the spectrogram — an O(trial-length) cost that is the
-/// point of the tracking mode. Sinks that fold columns on the fly (the
-/// counting statistic) should use a non-retaining stage (e.g.
-/// [`StreamingMusic::sink_only`]) together with [`Stage::push_with`], so
-/// the whole pipeline stays bounded by one analysis window.
-pub trait Stage {
-    /// Feeds a batch of nulled channel samples (any length, including
-    /// empty), invoking `on_column(thetas_deg, row)` for each newly
-    /// completed spectrogram column before the stage decides whether to
-    /// retain it. Returns the number of new columns.
-    fn push_with(
-        &mut self,
-        samples: &[Complex64],
-        on_column: &mut dyn FnMut(&[f64], &[f64]),
-    ) -> usize;
-
-    /// [`Stage::push_with`] without a column observer.
-    fn push(&mut self, samples: &[Complex64]) -> usize {
-        self.push_with(samples, &mut |_, _| {})
-    }
-
-    /// Number of columns produced so far.
-    fn n_columns(&self) -> usize;
-
-    /// The angle grid shared by all columns.
-    fn thetas_deg(&self) -> &[f64];
-
-    /// The columns produced so far (partial spectrogram), one row per
-    /// completed analysis window.
-    fn rows(&self) -> &[Vec<f64>];
-
-    /// Centre times of the completed windows, seconds.
-    fn times_s(&self) -> &[f64];
-
-    /// Finalizes the stage into a spectrogram, draining the accumulated
-    /// columns (the stage is empty afterwards).
-    ///
-    /// # Panics
-    /// Panics if no columns were produced (the trace never filled one
-    /// analysis window).
-    fn finish(&mut self) -> AngleSpectrogram;
-}
-
-/// Sliding-window bookkeeping shared by the tracker stages: accumulates
+/// Sliding-window bookkeeping shared by every session state: accumulates
 /// samples, hands out every complete `(start, window)` pair exactly once,
 /// and trims the buffer so it never holds more than one window plus one
 /// batch.
@@ -154,231 +97,12 @@ impl WindowBuffer {
     }
 }
 
-/// The smoothed-MUSIC tracker as a streaming stage (mode 1 of the device).
-pub struct StreamingMusic {
-    engine: MusicEngine,
-    /// Own copy of the angle grid (hands columns to observers while the
-    /// engine is mutably borrowed).
-    thetas: Vec<f64>,
-    wb: WindowBuffer,
-    /// Whether emitted columns are stored for [`Stage::finish`]. Sinks
-    /// that fold columns on the fly turn this off so memory stays bounded
-    /// by one analysis window regardless of trial length.
-    retain: bool,
-    emitted: usize,
-    rows: Vec<Vec<f64>>,
-    eigens: Vec<WindowEigen>,
-    times: Vec<f64>,
-}
-
-impl StreamingMusic {
-    /// Creates the stage (column-retaining: [`Stage::finish`] available).
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: MusicConfig) -> Self {
-        let engine = MusicEngine::new(cfg);
-        let thetas = engine.thetas_deg().to_vec();
-        let wb = WindowBuffer::new(cfg.isar.window, cfg.isar.hop);
-        Self {
-            engine,
-            thetas,
-            wb,
-            retain: true,
-            emitted: 0,
-            rows: Vec::new(),
-            eigens: Vec::new(),
-            times: Vec::new(),
-        }
-    }
-
-    /// Creates a non-retaining stage for pure sink pipelines: columns are
-    /// only handed to [`Stage::push_with`]'s observer, never stored, so a
-    /// monitoring run of any length holds one analysis window of samples
-    /// and nothing else. [`Stage::finish`] is unavailable on such a stage.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn sink_only(cfg: MusicConfig) -> Self {
-        Self {
-            retain: false,
-            ..Self::new(cfg)
-        }
-    }
-
-    /// Per-window eigen-structure diagnostics accumulated so far (empty
-    /// on a [`Self::sink_only`] stage).
-    pub fn eigens(&self) -> &[WindowEigen] {
-        &self.eigens
-    }
-
-    /// Like [`Stage::finish`] but also returns the drained eigen
-    /// diagnostics (which `finish` alone discards).
-    pub fn finish_with_eigen(&mut self) -> (AngleSpectrogram, Vec<WindowEigen>) {
-        let eigens = std::mem::take(&mut self.eigens);
-        let spec = Stage::finish(self);
-        (spec, eigens)
-    }
-}
-
-impl Stage for StreamingMusic {
-    fn push_with(
-        &mut self,
-        samples: &[Complex64],
-        on_column: &mut dyn FnMut(&[f64], &[f64]),
-    ) -> usize {
-        let engine = &mut self.engine;
-        let thetas = &self.thetas;
-        let retain = self.retain;
-        let rows = &mut self.rows;
-        let eigens = &mut self.eigens;
-        let times = &mut self.times;
-        let isar = engine.cfg().isar;
-        let n = self.wb.push(samples, |start, win| {
-            let (row, eigen) = engine.process_window(win);
-            on_column(thetas, &row);
-            if retain {
-                rows.push(row);
-                eigens.push(eigen);
-                times.push(isar.window_center_s(start));
-            }
-        });
-        self.emitted += n;
-        n
-    }
-
-    fn n_columns(&self) -> usize {
-        self.emitted
-    }
-
-    fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
-    }
-
-    fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
-    }
-
-    fn times_s(&self) -> &[f64] {
-        &self.times
-    }
-
-    fn finish(&mut self) -> AngleSpectrogram {
-        assert!(
-            self.retain,
-            "finish() requires a column-retaining stage; this one was built sink_only()"
-        );
-        assert!(
-            !self.rows.is_empty(),
-            "trace shorter ({}) than the analysis window ({})",
-            self.wb.n_seen(),
-            self.engine.cfg().isar.window
-        );
-        self.eigens.clear();
-        self.emitted = 0;
-        AngleSpectrogram::new(
-            self.thetas.clone(),
-            std::mem::take(&mut self.times),
-            std::mem::take(&mut self.rows),
-        )
-    }
-}
-
-/// The classic-beamforming (Eq. 5.1) tracker as a streaming stage — the
-/// amplitude-bearing spectrum the gesture decoder consumes (mode 2), and
-/// the §5.2 baseline. Always column-retaining: its one sink, the
-/// matched-filter gesture decoder, needs the whole track for its noise
-/// reference, so a sink-only variant would have no caller.
-pub struct StreamingBeamform {
-    engine: BeamformEngine,
-    /// Own copy of the angle grid (hands columns to observers while the
-    /// engine is mutably borrowed).
-    thetas: Vec<f64>,
-    wb: WindowBuffer,
-    rows: Vec<Vec<f64>>,
-    times: Vec<f64>,
-}
-
-impl StreamingBeamform {
-    /// Creates the stage.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: IsarConfig) -> Self {
-        let engine = BeamformEngine::new(cfg);
-        let thetas = engine.thetas_deg().to_vec();
-        let wb = WindowBuffer::new(cfg.window, cfg.hop);
-        Self {
-            engine,
-            thetas,
-            wb,
-            rows: Vec::new(),
-            times: Vec::new(),
-        }
-    }
-}
-
-impl Stage for StreamingBeamform {
-    fn push_with(
-        &mut self,
-        samples: &[Complex64],
-        on_column: &mut dyn FnMut(&[f64], &[f64]),
-    ) -> usize {
-        let engine = &mut self.engine;
-        let thetas = &self.thetas;
-        let rows = &mut self.rows;
-        let times = &mut self.times;
-        let isar = *engine.cfg();
-        self.wb.push(samples, |start, win| {
-            let row = engine.process_window(win);
-            on_column(thetas, &row);
-            rows.push(row);
-            times.push(isar.window_center_s(start));
-        })
-    }
-
-    fn n_columns(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
-    }
-
-    fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
-    }
-
-    fn times_s(&self) -> &[f64] {
-        &self.times
-    }
-
-    fn finish(&mut self) -> AngleSpectrogram {
-        assert!(
-            !self.rows.is_empty(),
-            "trace shorter ({}) than the analysis window ({})",
-            self.wb.n_seen(),
-            self.engine.cfg().window
-        );
-        AngleSpectrogram::new(
-            self.thetas.clone(),
-            std::mem::take(&mut self.times),
-            std::mem::take(&mut self.rows),
-        )
-    }
-}
-
-/// Per-session MUSIC windowing state for *engine-shared* streaming: the
-/// serving layer runs many concurrent sessions per worker shard, and the
-/// heavy per-window scratch (steering tables, correlation matrix, eig
-/// workspace) lives once per shard in a [`MusicEngine`] instead of once
-/// per session. This type holds only what is genuinely per-session — the
-/// sliding [`WindowBuffer`] and a column counter — and borrows the engine
-/// at every push. Column emission is **bitwise identical** to an owned
-/// [`StreamingMusic`] stage because both feed the same windows through
-/// [`MusicEngine::process_window`], whose output depends only on the
-/// configuration and the window contents (the scratch is fully
-/// overwritten every call).
+/// Per-session MUSIC windowing state. The heavy per-window scratch
+/// (steering tables, correlation matrix, eig workspace) lives in a
+/// [`MusicEngine`] that the device owns, or that a serving shard shares
+/// across its same-configuration sessions. This type holds only the sliding [`WindowBuffer`] and a
+/// column counter, and borrows the engine at every push; the mode
+/// states ([`TrackState`], [`crate::CountState`], …) fold its columns.
 ///
 /// # Panics
 /// [`Self::push_with`] panics if the borrowed engine's configuration
@@ -390,9 +114,8 @@ pub struct SharedStreamingMusic {
     /// thresholds, and the noise floor, so a mismatched engine must
     /// panic rather than silently emit different columns.
     cfg: MusicConfig,
-    /// Own copy of the angle grid (columns are handed to observers while
-    /// the engine is mutably borrowed). Identical to the engine's grid:
-    /// both come from [`IsarConfig::thetas_deg`].
+    /// The angle grid of every column: [`IsarConfig::thetas_deg`], the
+    /// grid the engine's steering table is built on.
     thetas: Vec<f64>,
     wb: WindowBuffer,
     emitted: usize,
@@ -436,11 +159,15 @@ impl SharedStreamingMusic {
         );
         let thetas = &self.thetas;
         let n = self.wb.push(samples, |start, win| {
-            let (row, _eigen) = engine.process_window(win);
-            on_column(start, thetas, &row);
+            on_column(start, thetas, &engine.process_window(win));
         });
         self.emitted += n;
         n
+    }
+
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &MusicConfig {
+        &self.cfg
     }
 
     /// Columns emitted so far.
@@ -459,22 +186,100 @@ impl SharedStreamingMusic {
     }
 }
 
-/// Per-session beamformer windowing state for engine-shared streaming —
-/// the [`StreamingBeamform`] sibling of [`SharedStreamingMusic`], used by
-/// serving-engine gesture sessions. Columns are handed to the observer
-/// only; retention (the gesture decoder needs the whole track) is the
-/// caller's job.
-#[derive(Clone, Debug)]
-pub struct SharedStreamingBeamform {
-    isar: IsarConfig,
-    thetas: Vec<f64>,
-    wb: WindowBuffer,
-    emitted: usize,
+/// Spectrogram columns retained as their windows complete.
+#[derive(Clone, Debug, Default)]
+struct Columns {
+    rows: Vec<Vec<f64>>,
+    times: Vec<f64>,
 }
 
-impl SharedStreamingBeamform {
-    /// Creates the per-session state for sessions processed by engines
-    /// built from `cfg`.
+impl Columns {
+    fn push(&mut self, isar: &IsarConfig, start: usize, row: Vec<f64>) {
+        self.rows.push(row);
+        self.times.push(isar.window_center_s(start));
+    }
+
+    /// # Panics
+    /// Panics if no window completed.
+    fn finish(self, thetas: Vec<f64>, n_seen: usize, window: usize) -> AngleSpectrogram {
+        assert!(
+            !self.rows.is_empty(),
+            "trace shorter ({n_seen}) than the analysis window ({window})"
+        );
+        AngleSpectrogram::new(thetas, self.times, self.rows)
+    }
+}
+
+/// Mode 1 session state: smoothed MUSIC with every column retained for
+/// the spectrogram `A′[θ, n]` — an O(trial-length) cost that is the point
+/// of the mode. [`crate::music::music_spectrum`] is one push of it.
+#[derive(Clone, Debug)]
+pub struct TrackState {
+    stage: SharedStreamingMusic,
+    columns: Columns,
+}
+
+impl TrackState {
+    /// Creates the state for engines built from `cfg`.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration.
+    pub fn new(cfg: &MusicConfig) -> Self {
+        Self {
+            stage: SharedStreamingMusic::new(cfg),
+            columns: Columns::default(),
+        }
+    }
+
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &MusicConfig {
+        self.stage.cfg()
+    }
+
+    /// Feeds a batch of nulled channel samples through `engine`,
+    /// returning the number of new columns.
+    ///
+    /// # Panics
+    /// Panics if `engine` was built for a different configuration.
+    pub fn push(&mut self, engine: &mut MusicEngine, samples: &[Complex64]) -> usize {
+        let isar = self.stage.cfg().isar;
+        let columns = &mut self.columns;
+        self.stage
+            .push_with(engine, samples, |start, _thetas, row| {
+                columns.push(&isar, start, row.to_vec());
+            })
+    }
+
+    /// Columns produced so far.
+    pub fn n_columns(&self) -> usize {
+        self.stage.n_columns()
+    }
+
+    /// The spectrogram of every column produced.
+    ///
+    /// # Panics
+    /// Panics if no analysis window completed.
+    pub fn finish(self) -> AngleSpectrogram {
+        let window = self.cfg().isar.window;
+        let (thetas, n_seen) = (self.stage.thetas_deg().to_vec(), self.stage.n_seen());
+        self.columns.finish(thetas, n_seen, window)
+    }
+}
+
+/// Per-session classic-beamforming (Eq. 5.1) state: the
+/// amplitude-bearing spectrum the gesture decoder consumes (mode 2) and
+/// the §5.2 baseline. Every column is retained, since the decoder needs
+/// the whole track for its noise reference.
+/// [`crate::isar::beamform_spectrum`] is one push of it.
+#[derive(Clone, Debug)]
+pub struct BeamformState {
+    isar: IsarConfig,
+    wb: WindowBuffer,
+    columns: Columns,
+}
+
+impl BeamformState {
+    /// Creates the state for engines built from `cfg`.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
@@ -482,51 +287,46 @@ impl SharedStreamingBeamform {
         cfg.validate();
         Self {
             isar: *cfg,
-            thetas: cfg.thetas_deg(),
             wb: WindowBuffer::new(cfg.window, cfg.hop),
-            emitted: 0,
+            columns: Columns::default(),
         }
     }
 
-    /// Feeds a batch through the shared `engine`, invoking
-    /// `on_column(start_sample, thetas_deg, row)` per completed window.
-    /// Returns the number of new columns.
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &IsarConfig {
+        &self.isar
+    }
+
+    /// Feeds a batch through `engine`, returning the number of new
+    /// columns.
     ///
     /// # Panics
-    /// Panics if `engine` was built for a different windowing geometry.
-    pub fn push_with(
-        &mut self,
-        engine: &mut BeamformEngine,
-        samples: &[Complex64],
-        mut on_column: impl FnMut(usize, &[f64], &[f64]),
-    ) -> usize {
+    /// Panics if `engine` was built for a different configuration.
+    pub fn push(&mut self, engine: &mut BeamformEngine, samples: &[Complex64]) -> usize {
         assert_eq!(
             *engine.cfg(),
             self.isar,
             "shared engine built for a different configuration"
         );
-        let thetas = &self.thetas;
-        let n = self.wb.push(samples, |start, win| {
-            let row = engine.process_window(win);
-            on_column(start, thetas, &row);
-        });
-        self.emitted += n;
-        n
+        let (isar, columns) = (&self.isar, &mut self.columns);
+        self.wb.push(samples, |start, win| {
+            columns.push(isar, start, engine.process_window(win));
+        })
     }
 
-    /// Columns emitted so far.
+    /// Columns produced so far.
     pub fn n_columns(&self) -> usize {
-        self.emitted
+        self.columns.rows.len()
     }
 
-    /// Total samples pushed so far.
-    pub fn n_seen(&self) -> usize {
-        self.wb.n_seen()
-    }
-
-    /// The angle grid shared by all columns.
-    pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
+    /// The spectrogram of every column produced.
+    ///
+    /// # Panics
+    /// Panics if no analysis window completed.
+    pub fn finish(self) -> AngleSpectrogram {
+        let n_seen = self.wb.n_seen();
+        self.columns
+            .finish(self.isar.thetas_deg(), n_seen, self.isar.window)
     }
 }
 
@@ -534,7 +334,6 @@ impl SharedStreamingBeamform {
 mod tests {
     use super::*;
     use crate::isar::synthetic_target_trace;
-    use crate::music::music_spectrum_with_eigen;
     use wivi_num::rng::{complex_gaussian, Rng64};
 
     fn noisy_trace(n: usize, seed: u64) -> Vec<Complex64> {
@@ -571,43 +370,39 @@ mod tests {
     }
 
     #[test]
-    fn music_stage_is_batch_shape_invariant() {
+    fn music_state_is_batch_shape_invariant() {
         let cfg = MusicConfig::fast_test();
         let trace = noisy_trace(150, 9);
+        let one_batch = crate::music::music_spectrum(&trace, &cfg);
 
-        let (offline, offline_eig) = music_spectrum_with_eigen(&trace, &cfg);
-
-        for batch in [1usize, 7, 40, 150] {
-            let mut stage = StreamingMusic::new(cfg);
+        for batch in [1usize, 7, 40] {
+            let mut engine = MusicEngine::new(cfg);
+            let mut state = TrackState::new(&cfg);
             let mut produced = 0;
             for chunk in trace.chunks(batch) {
-                produced += stage.push(chunk);
+                produced += state.push(&mut engine, chunk);
             }
-            assert_eq!(produced, offline.n_times());
-            let (spec, eig) = stage.finish_with_eigen();
-            assert_eq!(spec.power, offline.power, "batch {batch}");
-            assert_eq!(spec.times_s, offline.times_s, "batch {batch}");
-            assert_eq!(eig.len(), offline_eig.len());
-            for (a, b) in eig.iter().zip(&offline_eig) {
-                assert_eq!(a.eigenvalues, b.eigenvalues);
-                assert_eq!(a.n_signal, b.n_signal);
-            }
+            assert_eq!(produced, one_batch.n_times());
+            let spec = state.finish();
+            assert_eq!(spec.power, one_batch.power, "batch {batch}");
+            assert_eq!(spec.times_s, one_batch.times_s, "batch {batch}");
         }
     }
 
     #[test]
-    fn beamform_stage_is_batch_shape_invariant() {
+    fn beamform_state_is_batch_shape_invariant() {
         let cfg = IsarConfig::fast_test();
         let trace = noisy_trace(130, 10);
-        let offline = crate::isar::beamform_spectrum(&trace, &cfg);
-        for batch in [1usize, 13, 130] {
-            let mut stage = StreamingBeamform::new(cfg);
+        let one_batch = crate::isar::beamform_spectrum(&trace, &cfg);
+        for batch in [1usize, 13] {
+            let mut engine = BeamformEngine::new(cfg);
+            let mut state = BeamformState::new(&cfg);
             for chunk in trace.chunks(batch) {
-                stage.push(chunk);
+                state.push(&mut engine, chunk);
             }
-            let spec = stage.finish();
-            assert_eq!(spec.power, offline.power, "batch {batch}");
-            assert_eq!(spec.times_s, offline.times_s, "batch {batch}");
+            let spec = state.finish();
+            assert_eq!(spec.power, one_batch.power, "batch {batch}");
+            assert_eq!(spec.times_s, one_batch.times_s, "batch {batch}");
         }
     }
 
@@ -615,56 +410,36 @@ mod tests {
     fn partial_columns_appear_as_samples_arrive() {
         let cfg = MusicConfig::fast_test(); // window 40, hop 8
         let trace = noisy_trace(64, 11);
-        let mut stage = StreamingMusic::new(cfg);
-        assert_eq!(stage.push(&trace[..39]), 0, "no column before one window");
-        assert_eq!(stage.n_columns(), 0);
-        assert_eq!(stage.push(&trace[39..40]), 1, "first column at window fill");
-        assert_eq!(stage.rows().len(), 1);
-        assert_eq!(stage.times_s().len(), 1);
-        // 24 more samples: windows at starts 8, 16, 24 complete.
-        assert_eq!(stage.push(&trace[40..64]), 3);
-        assert_eq!(stage.n_columns(), 4);
-    }
-
-    #[test]
-    fn sink_only_stage_emits_identical_columns_but_stores_nothing() {
-        let cfg = MusicConfig::fast_test();
-        let trace = noisy_trace(120, 12);
-
-        let mut retaining = StreamingMusic::new(cfg);
-        retaining.push(&trace);
-        let stored = retaining.rows().to_vec();
-
-        let mut sink = StreamingMusic::sink_only(cfg);
-        let mut observed: Vec<Vec<f64>> = Vec::new();
-        for chunk in trace.chunks(16) {
-            sink.push_with(chunk, &mut |_, row| observed.push(row.to_vec()));
-        }
+        let mut engine = MusicEngine::new(cfg);
+        let mut state = TrackState::new(&cfg);
         assert_eq!(
-            observed, stored,
-            "sink columns differ from retained columns"
+            state.push(&mut engine, &trace[..39]),
+            0,
+            "no column before one window"
         );
-        assert_eq!(sink.n_columns(), stored.len());
-        assert!(sink.rows().is_empty(), "sink_only stage retained rows");
-        assert!(sink.eigens().is_empty());
+        assert_eq!(state.n_columns(), 0);
+        assert_eq!(
+            state.push(&mut engine, &trace[39..40]),
+            1,
+            "first column at window fill"
+        );
+        // 24 more samples: windows at starts 8, 16, 24 complete.
+        assert_eq!(state.push(&mut engine, &trace[40..64]), 3);
+        assert_eq!(state.n_columns(), 4);
+        assert_eq!(state.finish().n_times(), 4);
     }
 
     #[test]
-    fn shared_music_equals_owned_stage_even_interleaved() {
-        // Two "sessions" with different traces share ONE engine, their
+    fn interleaved_sessions_on_one_engine_equal_each_session_alone() {
+        // Two sessions with different traces share ONE engine, their
         // pushes interleaved in awkward chunks — exactly the serving
-        // shard's shape. Each must still produce the columns an owned
-        // per-session stage produces, bit for bit.
+        // shard's shape. Each must still produce the columns it produces
+        // alone on its own engine, bit for bit.
         let cfg = MusicConfig::fast_test();
         let traces = [noisy_trace(130, 21), noisy_trace(130, 22)];
-
-        let owned: Vec<Vec<Vec<f64>>> = traces
+        let alone: Vec<AngleSpectrogram> = traces
             .iter()
-            .map(|t| {
-                let mut stage = StreamingMusic::new(cfg);
-                stage.push(t);
-                stage.rows().to_vec()
-            })
+            .map(|t| crate::music::music_spectrum(t, &cfg))
             .collect();
 
         let mut engine = MusicEngine::new(cfg);
@@ -673,64 +448,43 @@ mod tests {
             SharedStreamingMusic::new(&cfg),
         ];
         let mut got: [Vec<Vec<f64>>; 2] = [Vec::new(), Vec::new()];
-        let mut starts: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for chunk in 0..(130usize).div_ceil(7) {
+        let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+        for lo in (0..130usize).step_by(7) {
+            let hi = (lo + 7).min(130);
             for s in 0..2 {
-                let lo = chunk * 7;
-                let hi = (lo + 7).min(130);
-                if lo >= hi {
-                    continue;
-                }
                 shared[s].push_with(&mut engine, &traces[s][lo..hi], |start, thetas, row| {
-                    assert_eq!(thetas, engine_thetas(&cfg));
-                    starts[s].push(start);
+                    assert_eq!(thetas, alone[s].thetas_deg);
+                    times[s].push(cfg.isar.window_center_s(start));
                     got[s].push(row.to_vec());
                 });
             }
         }
         for s in 0..2 {
-            assert_eq!(got[s], owned[s], "session {s} columns diverged");
-            // Window start indices advance by the hop from zero, and the
-            // centre-time expression matches the owned stage's.
-            let isar = cfg.isar;
-            let expect: Vec<usize> = (0..got[s].len()).map(|k| k * isar.hop).collect();
-            assert_eq!(starts[s], expect);
-            let mut stage = StreamingMusic::new(cfg);
-            stage.push(&traces[s]);
-            let times: Vec<f64> = starts[s]
-                .iter()
-                .map(|&st| isar.window_center_s(st))
-                .collect();
-            assert_eq!(times, stage.times_s());
+            assert_eq!(got[s], alone[s].power, "session {s} columns diverged");
+            assert_eq!(times[s], alone[s].times_s, "session {s} times diverged");
             assert_eq!(shared[s].n_columns(), got[s].len());
             assert_eq!(shared[s].n_seen(), 130);
         }
     }
 
-    fn engine_thetas(cfg: &MusicConfig) -> Vec<f64> {
-        cfg.isar.thetas_deg()
-    }
-
     #[test]
-    fn shared_beamform_equals_owned_stage() {
+    fn interleaved_beamform_sessions_equal_each_session_alone() {
         let cfg = IsarConfig::fast_test();
-        let trace = noisy_trace(110, 23);
-        let mut owned = StreamingBeamform::new(cfg);
-        owned.push(&trace);
-
+        let traces = [noisy_trace(110, 23), noisy_trace(110, 24)];
         let mut engine = BeamformEngine::new(cfg);
-        let mut shared = SharedStreamingBeamform::new(&cfg);
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut times: Vec<f64> = Vec::new();
-        for chunk in trace.chunks(9) {
-            shared.push_with(&mut engine, chunk, |start, _thetas, row| {
-                rows.push(row.to_vec());
-                times.push(cfg.window_center_s(start));
-            });
+        let mut shared = [BeamformState::new(&cfg), BeamformState::new(&cfg)];
+        for lo in (0..110usize).step_by(9) {
+            let hi = (lo + 9).min(110);
+            for s in 0..2 {
+                shared[s].push(&mut engine, &traces[s][lo..hi]);
+            }
         }
-        assert_eq!(rows, owned.rows());
-        assert_eq!(times, owned.times_s());
-        assert_eq!(shared.thetas_deg(), Stage::thetas_deg(&owned));
+        for (s, state) in shared.into_iter().enumerate() {
+            let alone = crate::isar::beamform_spectrum(&traces[s], &cfg);
+            let got = state.finish();
+            assert_eq!(got.power, alone.power, "session {s} columns diverged");
+            assert_eq!(got.times_s, alone.times_s);
+        }
     }
 
     #[test]
@@ -744,21 +498,5 @@ mod tests {
         cfg.noise_floor_power = Some(1e-6);
         let mut shared = SharedStreamingMusic::new(&cfg);
         shared.push_with(&mut engine, &[Complex64::ZERO], |_, _, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "sink_only")]
-    fn finish_panics_on_sink_only_stage() {
-        let mut stage = StreamingMusic::sink_only(MusicConfig::fast_test());
-        stage.push(&noisy_trace(60, 13));
-        let _ = stage.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter")]
-    fn finish_requires_a_full_window() {
-        let mut stage = StreamingBeamform::new(IsarConfig::fast_test());
-        stage.push(&[Complex64::ONE; 10]);
-        let _ = stage.finish();
     }
 }

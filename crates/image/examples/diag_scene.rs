@@ -48,7 +48,7 @@ fn main() {
         cfg.cfar.threshold_db = d.parse().unwrap();
     }
     let t0 = std::time::Instant::now();
-    let report = dev.image_with(duration, &cfg);
+    let report = dev.image_streaming_with(duration, wivi_core::device::DEFAULT_BATCH_LEN, &cfg);
     let wall = t0.elapsed().as_secs_f64();
     println!(
         "{} windows in {:.2}s wall ({:.0} samples/sec)",

@@ -201,7 +201,7 @@ impl ImageConfig {
     }
 
     /// Centre time of the analysis window starting at absolute sample
-    /// `start` — the same expression the tracking stages use.
+    /// `start` — the same expression the MUSIC session states use.
     pub fn window_center_s(&self, start: usize) -> f64 {
         (start as f64 + self.window as f64 / 2.0) * self.sample_period_s
     }

@@ -1,20 +1,16 @@
 //! `WiViDevice` entry points for through-wall imaging — the fifth
 //! device mode, layered above `wivi-core` through an extension trait
 //! exactly like `wivi-track`'s tracking mode: `use
-//! wivi_image::ImageThroughWall;` and every device can `image(..)`.
-//!
-//! Both shapes honour the repo-wide contract: the streaming entry point
-//! drives a [`StreamingImage`] stage over batched observations and the
-//! offline one-shot path materializes the trace and pushes it through
-//! the *same* stage in one call, so the two are **bitwise identical**
-//! for every batch size (pinned by `tests/streaming_equivalence.rs`).
+//! wivi_image::ImageThroughWall;` and every device can
+//! `image_streaming(..)`, which streams an [`ImageState`] like every other
+//! mode of the device.
 
 use wivi_core::WiViDevice;
 use wivi_num::Complex64;
-use wivi_sdr::Observation;
 
 use crate::config::ImageConfig;
-use crate::stage::{ImagingReport, StreamingImage};
+use crate::engine::ImagingEngine;
+use crate::stage::{ImageState, ImagingReport};
 
 /// The subcarrier-averaged nulling weight the calibration installed on
 /// the second transmit antenna — the `w` of the imaging model
@@ -53,23 +49,12 @@ pub fn assert_device_geometry(dev: &WiViDevice, cfg: &ImageConfig) {
 /// Device-level imaging entry points: room images and (x, y) fixes
 /// instead of bare ridge angles.
 pub trait ImageThroughWall {
-    /// Records `duration_s` seconds and backprojects it with the
-    /// configuration derived from the device configuration
-    /// ([`ImageConfig::for_wivi`]). Offline one-shot shape.
-    ///
-    /// # Panics
-    /// Panics if the device has not been calibrated.
-    fn image(&mut self, duration_s: f64) -> ImagingReport;
-
-    /// [`Self::image`] with an explicit imaging configuration.
-    fn image_with(&mut self, duration_s: f64, cfg: &ImageConfig) -> ImagingReport;
-
-    /// Streaming shape: observations flow in `batch_len`-sample batches
-    /// through a [`StreamingImage`] stage; each completed aperture is
-    /// focused, CFAR-detected, and folded into the position tracker the
-    /// moment it completes. Memory stays bounded by one aperture plus
-    /// the engine's resident tables. Bitwise identical to
-    /// [`Self::image`].
+    /// Streams `duration_s` seconds in `batch_len`-sample batches through
+    /// an [`ImageState`] with the configuration derived from the device
+    /// configuration ([`ImageConfig::for_wivi`]): each completed aperture
+    /// is focused, CFAR-detected, and folded into the position tracker
+    /// the moment it completes. Memory stays bounded by one aperture plus
+    /// the engine's resident tables.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated or `batch_len == 0`.
@@ -85,20 +70,6 @@ pub trait ImageThroughWall {
 }
 
 impl ImageThroughWall for WiViDevice {
-    fn image(&mut self, duration_s: f64) -> ImagingReport {
-        let cfg = ImageConfig::for_wivi(self.config());
-        self.image_with(duration_s, &cfg)
-    }
-
-    fn image_with(&mut self, duration_s: f64, cfg: &ImageConfig) -> ImagingReport {
-        assert_device_geometry(self, cfg);
-        let weight = nulling_tx_weight(self);
-        let trace = self.record_trace(duration_s);
-        let mut stage = StreamingImage::new(*cfg, weight);
-        stage.push(&trace);
-        stage.finish()
-    }
-
     fn image_streaming(&mut self, duration_s: f64, batch_len: usize) -> ImagingReport {
         let cfg = ImageConfig::for_wivi(self.config());
         self.image_streaming_with(duration_s, batch_len, &cfg)
@@ -111,23 +82,11 @@ impl ImageThroughWall for WiViDevice {
         cfg: &ImageConfig,
     ) -> ImagingReport {
         assert_device_geometry(self, cfg);
-        let weight = nulling_tx_weight(self);
-        // The same duration→samples conversion the device uses, so the
-        // two shapes can never round differently.
-        let total = self.trace_len(duration_s);
-        let mut stage = StreamingImage::new(*cfg, weight);
-        let mut stream = self.frontend_mut().observe_stream(total, batch_len);
-        let mut batch: Vec<Observation> = Vec::with_capacity(batch_len);
-        let mut samples: Vec<Complex64> = Vec::with_capacity(batch_len);
-        loop {
-            let got = stream.next_batch_into(&mut batch);
-            if got == 0 {
-                break;
-            }
-            samples.clear();
-            samples.extend(batch.iter().map(Observation::combined));
-            stage.push(&samples);
-        }
-        stage.finish()
+        let mut state = ImageState::new(cfg, nulling_tx_weight(self));
+        let mut engine = ImagingEngine::new(*cfg);
+        self.stream(duration_s, batch_len, |batch| {
+            state.push(&mut engine, batch);
+        });
+        state.finish()
     }
 }

@@ -44,11 +44,11 @@
 //! tables (one per TX path), the per-cell normalization terms, the
 //! image buffer, the mean-removal scratch — is allocated once at
 //! construction and reused every window; window-rate processing
-//! allocates nothing beyond the emitted fix list. One engine serves the
-//! offline entry points, the streaming stage, and (shared across
-//! sessions) the serving shards, so all three are bitwise identical by
-//! construction: the output depends only on the configuration, the
-//! window contents, and the nulling weight.
+//! allocates nothing beyond the emitted fix list. Session states borrow
+//! it per batch — the device entry point owns one, a serving shard shares
+//! one across its sessions — and every caller and batch split is bitwise
+//! identical by construction: the output depends only on the
+//! configuration, the window contents, and the nulling weight.
 
 use wivi_core::ShardEngine;
 use wivi_num::{ca_cfar_2d, simd, Complex64, Grid2d};

@@ -15,16 +15,15 @@
 //!   buffer, CA-CFAR detection ([`wivi_num::cfar`]) with sub-cell
 //!   parabolic refinement and mirror-ghost suppression, emitting
 //!   per-window [`ImageFix`]es.
-//! * [`StreamingImage`] / [`SharedStreamingImage`] — batch-invariant
-//!   streaming stages in the owned and the serving (engine-shared)
-//!   shape.
+//! * [`ImageState`] — batch-invariant per-session streaming state over a
+//!   borrowed engine, shared by the device entry points and the serving
+//!   shards.
 //! * [`PositionTracker`] — gated optimal assignment plus per-axis
 //!   constant-velocity Kalman filtering over the fixes, so tracks carry
 //!   `(x, y)` in metres instead of bare angles.
 //! * [`ImageThroughWall`] — the device extension:
-//!   `WiViDevice::image{,_streaming}`, bitwise identical to each other
-//!   for every batch size, and to a served `image`-mode session
-//!   at every shard count.
+//!   `WiViDevice::image_streaming`, bitwise identical for every batch
+//!   size, and to a served `image`-mode session at every shard count.
 
 pub mod config;
 pub mod device_ext;
@@ -35,7 +34,7 @@ pub mod track2d;
 pub use config::{GridSpec, ImageConfig};
 pub use device_ext::{assert_device_geometry, nulling_tx_weight, ImageThroughWall};
 pub use engine::{ImageFix, ImagingEngine};
-pub use stage::{ImagingReport, SharedStreamingImage, StreamingImage};
+pub use stage::{ImageState, ImagingReport};
 pub use track2d::{
     PositionTrack, PositionTrackStatus, PositionTracker, PositionTrackerConfig,
     PositionTrackingSummary,

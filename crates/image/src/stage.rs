@@ -1,18 +1,15 @@
-//! Streaming imaging stages: batch-invariant windowing over the
-//! backprojection engine, in both the owned and the engine-shared
-//! (serving) shape.
+//! Streaming imaging state: batch-invariant windowing over a borrowed
+//! backprojection engine.
 //!
-//! [`StreamingImage`] mirrors [`wivi_core::StreamingMusic`]: it owns its
-//! engine, buffers samples in a [`wivi_core::WindowBuffer`], focuses each
-//! completed aperture, extracts CFAR fixes, and folds them into a
-//! [`PositionTracker`]. [`SharedStreamingImage`] mirrors
-//! [`wivi_core::SharedStreamingMusic`]: only the genuinely per-session
-//! state lives here (window buffer, nulling weight, counters) while the
-//! heavy engine — steering tables, image buffer — is borrowed per batch
-//! from the serving shard's cache. Both emit bitwise-identical frames
-//! because both feed the same windows through
-//! [`ImagingEngine::process_window_fixes`], whose output depends only on
-//! the configuration, the window contents, and the nulling weight.
+//! [`ImageState`] mirrors the MUSIC session states of
+//! [`wivi_core::stage`]: only the genuinely per-session state lives here
+//! (window buffer, nulling weight, tracker, retained fixes) while the
+//! heavy engine — steering tables, image buffer — is borrowed per batch,
+//! owned by the device entry point or cached by a serving shard. Every
+//! caller emits the same frames because each feeds the same windows
+//! through [`ImagingEngine::process_window_fixes`], whose output depends
+//! only on the configuration, the window contents, and the nulling
+//! weight.
 
 use wivi_core::WindowBuffer;
 use wivi_num::Complex64;
@@ -40,9 +37,7 @@ pub struct ImagingReport {
 
 impl ImagingReport {
     /// Assembles a report from the retained per-window fixes and the
-    /// tracker's summary — the one constructor both the standalone
-    /// stage and the serving drive use, so they cannot assemble
-    /// differently.
+    /// tracker's summary.
     pub fn assemble(
         grid: GridSpec,
         fixes: Vec<Vec<ImageFix>>,
@@ -99,104 +94,26 @@ impl ImagingReport {
     }
 }
 
-/// The owned streaming imaging stage (device entry points).
-pub struct StreamingImage {
-    engine: ImagingEngine,
-    tx_weight: Complex64,
-    wb: WindowBuffer,
-    tracker: Option<PositionTracker>,
-    fixes: Vec<Vec<ImageFix>>,
-    emitted: usize,
-}
-
-impl StreamingImage {
-    /// Creates the stage for `cfg`, focusing with the session's nulling
-    /// weight `tx_weight` on the second transmit path.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: ImageConfig, tx_weight: Complex64) -> Self {
-        let engine = ImagingEngine::new(cfg);
-        let wb = WindowBuffer::new(cfg.window, cfg.hop);
-        let tracker = PositionTracker::new(PositionTrackerConfig::for_image(&cfg));
-        Self {
-            engine,
-            tx_weight,
-            wb,
-            tracker: Some(tracker),
-            fixes: Vec::new(),
-            emitted: 0,
-        }
-    }
-
-    /// The stage's configuration.
-    pub fn cfg(&self) -> &ImageConfig {
-        self.engine.cfg()
-    }
-
-    /// Imaging windows completed so far.
-    pub fn n_frames(&self) -> usize {
-        self.emitted
-    }
-
-    /// Feeds a batch of nulled channel samples (any length), invoking
-    /// `on_frame(start_sample, fixes, image)` for each newly completed
-    /// imaging window (the image slice is the engine's resident buffer,
-    /// valid for the duration of the callback). Returns the number of
-    /// new frames.
-    pub fn push_with(
-        &mut self,
-        samples: &[Complex64],
-        mut on_frame: impl FnMut(usize, &[ImageFix], &[f64]),
-    ) -> usize {
-        let engine = &mut self.engine;
-        let tracker = self.tracker.as_mut().expect("stage already finished");
-        let fixes = &mut self.fixes;
-        let wt = self.tx_weight;
-        let n = self.wb.push(samples, |start, win| {
-            let frame = engine.process_window_fixes(win, wt);
-            tracker.push_fixes(&frame);
-            on_frame(start, &frame, engine.image());
-            fixes.push(frame);
-        });
-        self.emitted += n;
-        n
-    }
-
-    /// [`Self::push_with`] without a frame observer.
-    pub fn push(&mut self, samples: &[Complex64]) -> usize {
-        self.push_with(samples, |_, _, _| {})
-    }
-
-    /// Finalizes the stage into a report, draining the accumulated
-    /// frames (the stage is empty afterwards and must not be pushed
-    /// again).
-    ///
-    /// # Panics
-    /// Panics if called twice.
-    pub fn finish(&mut self) -> ImagingReport {
-        let tracker = self.tracker.take().expect("finish() called twice");
-        let grid = self.engine.cfg().grid;
-        self.emitted = 0;
-        ImagingReport::assemble(grid, std::mem::take(&mut self.fixes), tracker.finish())
-    }
-}
-
-/// Per-session imaging state for *engine-shared* streaming: the serving
-/// shard owns one [`ImagingEngine`] per configuration and every session
-/// borrows it per batch, passing its own nulling weight.
+/// Imaging session state (the fifth device mode). Every session borrows
+/// an [`ImagingEngine`] per batch — one the device entry point owns, or
+/// the one a serving shard caches per configuration — and passes its own
+/// nulling weight; each completed aperture's CFAR fixes are retained for
+/// the report and folded into the position tracker as the window
+/// completes.
 #[derive(Clone, Debug)]
-pub struct SharedStreamingImage {
+pub struct ImageState {
     /// The full configuration this session expects of its engine.
     cfg: ImageConfig,
     tx_weight: Complex64,
     wb: WindowBuffer,
-    emitted: usize,
+    /// Boxed: live position tracks carry whole histories.
+    tracker: Box<PositionTracker>,
+    fixes: Vec<Vec<ImageFix>>,
 }
 
-impl SharedStreamingImage {
-    /// Creates the per-session state for sessions processed by engines
-    /// built from `cfg`.
+impl ImageState {
+    /// Creates the state for engines built from `cfg`, focusing with the
+    /// session's nulling weight `tx_weight` on the second transmit path.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
@@ -206,53 +123,43 @@ impl SharedStreamingImage {
             cfg: *cfg,
             tx_weight,
             wb: WindowBuffer::new(cfg.window, cfg.hop),
-            emitted: 0,
+            tracker: Box::new(PositionTracker::new(PositionTrackerConfig::for_image(cfg))),
+            fixes: Vec::new(),
         }
     }
 
-    /// Feeds a batch through the shared `engine`, invoking
-    /// `on_frame(start_sample, fixes)` per completed imaging window.
-    /// Returns the number of new frames.
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &ImageConfig {
+        &self.cfg
+    }
+
+    /// Feeds a batch of nulled channel samples through `engine`,
+    /// returning the number of new frames.
     ///
     /// # Panics
     /// Panics if `engine` was built for a different configuration.
-    pub fn push_with(
-        &mut self,
-        engine: &mut ImagingEngine,
-        samples: &[Complex64],
-        mut on_frame: impl FnMut(usize, Vec<ImageFix>),
-    ) -> usize {
+    pub fn push(&mut self, engine: &mut ImagingEngine, samples: &[Complex64]) -> usize {
         assert_eq!(
             *engine.cfg(),
             self.cfg,
             "shared engine built for a different configuration"
         );
-        let wt = self.tx_weight;
-        let n = self.wb.push(samples, |start, win| {
-            on_frame(start, engine.process_window_fixes(win, wt));
-        });
-        self.emitted += n;
-        n
+        let (wt, tracker, fixes) = (self.tx_weight, &mut self.tracker, &mut self.fixes);
+        self.wb.push(samples, |_start, win| {
+            let frame = engine.process_window_fixes(win, wt);
+            tracker.push_fixes(&frame);
+            fixes.push(frame);
+        })
     }
 
-    /// Frames emitted so far.
+    /// Imaging windows completed so far.
     pub fn n_frames(&self) -> usize {
-        self.emitted
+        self.fixes.len()
     }
 
-    /// Total samples pushed so far.
-    pub fn n_seen(&self) -> usize {
-        self.wb.n_seen()
-    }
-
-    /// The session's nulling weight.
-    pub fn tx_weight(&self) -> Complex64 {
-        self.tx_weight
-    }
-
-    /// The configuration this session expects of its shared engine.
-    pub fn cfg(&self) -> &ImageConfig {
-        &self.cfg
+    /// The report over every frame (empty if no aperture filled).
+    pub fn finish(self) -> ImagingReport {
+        ImagingReport::assemble(self.cfg.grid, self.fixes, self.tracker.finish())
     }
 }
 
@@ -272,26 +179,27 @@ mod tests {
         )
     }
 
+    /// `trace` pushed through a fresh state and engine in `batch`-sample
+    /// chunks.
+    fn run(cfg: &ImageConfig, wt: Complex64, trace: &[Complex64], batch: usize) -> ImagingReport {
+        let mut engine = ImagingEngine::new(*cfg);
+        let mut state = ImageState::new(cfg, wt);
+        for chunk in trace.chunks(batch) {
+            state.push(&mut engine, chunk);
+        }
+        state.finish()
+    }
+
     #[test]
-    fn stage_is_batch_shape_invariant() {
+    fn state_is_batch_shape_invariant() {
         let cfg = ImageConfig::fast_test();
         let wt = Complex64::new(-0.8, 0.4);
         let trace = pacer_trace(&cfg, cfg.window + 3 * cfg.hop, wt);
 
-        let mut offline = StreamingImage::new(cfg, wt);
-        offline.push(&trace);
-        let reference = offline.finish();
-        assert_eq!(reference.n_windows(), 4);
-
-        for batch in [1usize, 17, 160, trace.len()] {
-            let mut stage = StreamingImage::new(cfg, wt);
-            let mut produced = 0;
-            for chunk in trace.chunks(batch) {
-                produced += stage.push(chunk);
-            }
-            assert_eq!(produced, reference.n_windows(), "batch {batch}");
-            let report = stage.finish();
-            assert_eq!(report, reference, "batch {batch}");
+        let one_batch = run(&cfg, wt, &trace, trace.len());
+        assert_eq!(one_batch.n_windows(), 4);
+        for batch in [1usize, 17, 160] {
+            assert_eq!(run(&cfg, wt, &trace, batch), one_batch, "batch {batch}");
         }
     }
 
@@ -300,16 +208,20 @@ mod tests {
         let cfg = ImageConfig::fast_test();
         let wt = Complex64::ONE;
         let trace = pacer_trace(&cfg, cfg.window + cfg.hop, wt);
-        let mut stage = StreamingImage::new(cfg, wt);
-        assert_eq!(stage.push(&trace[..cfg.window - 1]), 0);
-        assert_eq!(stage.n_frames(), 0);
-        assert_eq!(stage.push(&trace[cfg.window - 1..cfg.window]), 1);
-        assert_eq!(stage.push(&trace[cfg.window..]), 1);
-        assert_eq!(stage.n_frames(), 2);
+        let mut engine = ImagingEngine::new(cfg);
+        let mut state = ImageState::new(&cfg, wt);
+        assert_eq!(state.push(&mut engine, &trace[..cfg.window - 1]), 0);
+        assert_eq!(state.n_frames(), 0);
+        assert_eq!(
+            state.push(&mut engine, &trace[cfg.window - 1..cfg.window]),
+            1
+        );
+        assert_eq!(state.push(&mut engine, &trace[cfg.window..]), 1);
+        assert_eq!(state.n_frames(), 2);
     }
 
     #[test]
-    fn shared_stage_equals_owned_even_interleaved() {
+    fn interleaved_sessions_on_one_engine_equal_each_session_alone() {
         let cfg = ImageConfig::fast_test();
         let wts = [Complex64::new(0.9, -0.2), Complex64::new(-1.1, 0.3)];
         let n = cfg.window + 2 * cfg.hop;
@@ -324,37 +236,19 @@ mod tests {
             )
         }];
 
-        let owned: Vec<Vec<Vec<ImageFix>>> = (0..2)
-            .map(|s| {
-                let mut stage = StreamingImage::new(cfg, wts[s]);
-                stage.push(&traces[s]);
-                stage.finish().fixes
-            })
-            .collect();
-
         let mut engine = ImagingEngine::new(cfg);
-        let mut shared = [
-            SharedStreamingImage::new(&cfg, wts[0]),
-            SharedStreamingImage::new(&cfg, wts[1]),
-        ];
-        let mut got: [Vec<Vec<ImageFix>>; 2] = [Vec::new(), Vec::new()];
-        let mut starts: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+        let mut shared = [ImageState::new(&cfg, wts[0]), ImageState::new(&cfg, wts[1])];
         let chunk = 23;
         for lo in (0..n).step_by(chunk) {
             let hi = (lo + chunk).min(n);
             for s in 0..2 {
-                shared[s].push_with(&mut engine, &traces[s][lo..hi], |start, fixes| {
-                    starts[s].push(start);
-                    got[s].push(fixes);
-                });
+                shared[s].push(&mut engine, &traces[s][lo..hi]);
             }
         }
-        for s in 0..2 {
-            assert_eq!(got[s], owned[s], "session {s} frames diverged");
-            let expect: Vec<usize> = (0..got[s].len()).map(|k| k * cfg.hop).collect();
-            assert_eq!(starts[s], expect);
-            assert_eq!(shared[s].n_frames(), got[s].len());
-            assert_eq!(shared[s].n_seen(), n);
+        for (s, state) in shared.into_iter().enumerate() {
+            let alone = run(&cfg, wts[s], &traces[s], n);
+            assert_eq!(alone.n_windows(), 3);
+            assert_eq!(state.finish(), alone, "session {s} diverged");
         }
     }
 
@@ -416,21 +310,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different configuration")]
-    fn shared_stage_rejects_mismatched_engine() {
+    fn state_rejects_mismatched_engine() {
         let mut engine = ImagingEngine::new(ImageConfig::fast_test());
         let mut cfg = ImageConfig::fast_test();
         cfg.cfar.threshold_db += 1.0; // a non-windowing mismatch
-        let mut shared = SharedStreamingImage::new(&cfg, Complex64::ONE);
-        shared.push_with(&mut engine, &[Complex64::ZERO], |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "finished")]
-    fn push_after_finish_panics() {
-        let cfg = ImageConfig::fast_test();
-        let mut stage = StreamingImage::new(cfg, Complex64::ONE);
-        stage.push(&pacer_trace(&cfg, cfg.window, Complex64::ONE));
-        let _ = stage.finish();
-        stage.push(&[Complex64::ZERO]);
+        ImageState::new(&cfg, Complex64::ONE).push(&mut engine, &[Complex64::ZERO]);
     }
 }

@@ -15,8 +15,8 @@
 //! mirror ghosts are suppressed at fix extraction.
 //!
 //! Everything is a pure deterministic function of the fix sequence, so
-//! the streaming tracker is bitwise identical to the offline one — the
-//! same contract every other stage honours.
+//! the tracks are bitwise identical however the samples were batched —
+//! the same contract every session state honours.
 
 use wivi_num::{solve_assignment, Kalman2};
 

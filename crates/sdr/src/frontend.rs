@@ -344,28 +344,6 @@ impl MimoFrontend {
         }
     }
 
-    /// Streams `total` residual-channel observations in batches of
-    /// `batch_len` — the front-end's real-time delivery shape. The stream
-    /// borrows the front-end mutably, so the radio cannot be reconfigured
-    /// mid-stream; scene time advances sample-by-sample exactly as in
-    /// [`Self::observe`], and a fully drained stream leaves the front-end
-    /// in the same state as `total` direct `observe()` calls.
-    ///
-    /// # Panics
-    /// Panics if `batch_len == 0` or no precoder is installed.
-    pub fn observe_stream(&mut self, total: usize, batch_len: usize) -> ObservationStream<'_> {
-        assert!(batch_len > 0, "batch length must be positive");
-        assert!(
-            self.precoder.is_some(),
-            "observe() requires a precoder; call set_precoder first"
-        );
-        ObservationStream {
-            fe: self,
-            remaining: total,
-            batch_len,
-        }
-    }
-
     /// Full TX→RX simulation of one OFDM block.
     fn transmit(&mut self, mode: TxMode) -> Observation {
         let k = self.cfg.ofdm.n_subcarriers;
@@ -427,60 +405,6 @@ impl MimoFrontend {
             outcome,
             time: self.now,
         }
-    }
-}
-
-/// A borrowing iterator over fixed-size [`Observation`] batches — the
-/// stand-in for the frame-chunked delivery a real UHD receive stream
-/// provides. Produced by [`MimoFrontend::observe_stream`].
-pub struct ObservationStream<'a> {
-    fe: &'a mut MimoFrontend,
-    remaining: usize,
-    batch_len: usize,
-}
-
-impl ObservationStream<'_> {
-    /// Observations not yet emitted.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// The configured (maximum) batch size.
-    pub fn batch_len(&self) -> usize {
-        self.batch_len
-    }
-
-    /// Fills `out` (cleared first) with the next batch, returning how many
-    /// observations were produced — `0` once the stream is exhausted. The
-    /// allocation-conscious alternative to the `Iterator` impl: one output
-    /// buffer serves the whole stream.
-    pub fn next_batch_into(&mut self, out: &mut Vec<Observation>) -> usize {
-        out.clear();
-        let n = self.remaining.min(self.batch_len);
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.fe.observe());
-        }
-        self.remaining -= n;
-        n
-    }
-}
-
-impl Iterator for ObservationStream<'_> {
-    type Item = Vec<Observation>;
-
-    fn next(&mut self) -> Option<Vec<Observation>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let mut batch = Vec::new();
-        self.next_batch_into(&mut batch);
-        Some(batch)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining.div_ceil(self.batch_len);
-        (n, Some(n))
     }
 }
 
@@ -708,50 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_stream_matches_direct_observation_exactly() {
-        // The streaming contract: draining batches produces the identical
-        // observation sequence (times, channels, telemetry) as one-shot
-        // recording, regardless of the batch size.
-        let total = 50;
-        let mut fe = nulled_frontend(21);
-        let direct: Vec<Observation> = (0..total).map(|_| fe.observe()).collect();
-
-        for batch_len in [1usize, 7, 16, 64] {
-            let mut fe2 = nulled_frontend(21);
-            let mut streamed: Vec<Observation> = Vec::new();
-            for batch in fe2.observe_stream(total, batch_len) {
-                assert!(batch.len() <= batch_len);
-                streamed.extend(batch);
-            }
-            assert_eq!(streamed.len(), total);
-            for (a, b) in direct.iter().zip(&streamed) {
-                assert_eq!(a.time, b.time, "batch_len {batch_len}");
-                assert_eq!(a.h, b.h, "batch_len {batch_len}");
-            }
-            assert_eq!(fe.now(), fe2.now());
-        }
-    }
-
-    #[test]
-    fn stream_next_batch_into_reuses_one_buffer() {
-        let mut fe = nulled_frontend(22);
-        let mut stream = fe.observe_stream(10, 4);
-        assert_eq!(stream.remaining(), 10);
-        assert_eq!(stream.batch_len(), 4);
-        let mut buf = Vec::new();
-        let mut sizes = Vec::new();
-        loop {
-            let n = stream.next_batch_into(&mut buf);
-            if n == 0 {
-                break;
-            }
-            sizes.push(n);
-        }
-        assert_eq!(sizes, vec![4, 4, 2]);
-        assert_eq!(stream.remaining(), 0);
-    }
-
-    #[test]
     fn record_trace_into_appends_to_reused_buffer() {
         let mut fe = nulled_frontend(23);
         let expect = fe.record_trace(12);
@@ -760,12 +640,5 @@ mod tests {
         fe2.record_trace_into(8, &mut buf);
         fe2.record_trace_into(4, &mut buf);
         assert_eq!(buf, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch length must be positive")]
-    fn stream_rejects_zero_batch() {
-        let mut fe = nulled_frontend(24);
-        let _ = fe.observe_stream(10, 0);
     }
 }

@@ -25,5 +25,5 @@ pub mod frontend;
 pub mod ofdm;
 
 pub use adc::{Adc, QuantizeOutcome};
-pub use frontend::{MimoFrontend, Observation, ObservationStream, RadioConfig};
+pub use frontend::{MimoFrontend, Observation, RadioConfig};
 pub use ofdm::OfdmConfig;

@@ -178,8 +178,6 @@ pub use error::ServeError;
 pub use mode::{ModeOutput, ModeRef, ModeRegistry, SensingMode};
 pub use net::{WireClient, WireServer, WireServerConfig, WireServerReport};
 pub use session::{SessionId, SessionOutput, SessionSpec, SessionSpecBuilder};
-#[allow(deprecated)]
-pub use shard::ShardStats;
 pub use shard::{ShardSnapshot, SloSummary};
 pub use wire::{Frame, OpenRequest, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
 // Re-exported so mode implementors depend only on this crate's surface.

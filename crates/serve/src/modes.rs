@@ -1,53 +1,37 @@
 //! The device's five built-in sensing modes, as [`SensingMode`]
 //! implementations.
 //!
-//! Each mode is the serving twin of one `WiViDevice` streaming entry
-//! point, and each is *bitwise identical* to it: the per-session state
-//! is the same `Shared*` stage the standalone path drives, the heavy
-//! per-window engines come from the shard's [`EngineCache`] keyed by the
-//! same configuration values, and finalization assembles the same
-//! payload types. The golden traces and the determinism matrix pin
-//! this.
+//! Each mode is an adapter over the per-session state the matching
+//! `WiViDevice` entry point streams: the state type is the same, the
+//! heavy per-window engine comes from the shard's [`EngineCache`] keyed
+//! by the same configuration values instead of being owned, and
+//! finalization drains the state into the same payload. So each served
+//! session is *bitwise identical* to its standalone run; the golden
+//! traces and the determinism matrix pin this.
 //!
-//! | mode | tag | payload ([`ModeOutput::expect`]) | twin of |
-//! |------|-----|----------------------------------|---------|
-//! | [`Track`] | `track` | `Option<AngleSpectrogram>` | `track_streaming` |
-//! | [`TrackTargets`] | `track_targets` | `TrackingReport` | `track_targets_streaming` |
-//! | [`Count`] | `count` | `Option<f64>` | `measure_spatial_variance_streaming` |
-//! | [`Gestures`] | `gestures` | `Option<GestureDecode>` | `decode_gestures_streaming` |
-//! | [`Image`] | `image` | `ImagingReport` | `image_streaming` |
+//! | mode | tag | payload ([`ModeOutput::expect`]) | state | device entry point |
+//! |------|-----|----------------------------------|-------|--------------------|
+//! | [`Track`] | `track` | `Option<AngleSpectrogram>` | [`TrackState`] | `track_streaming` |
+//! | [`TrackTargets`] | `track_targets` | `TrackingReport` | [`TrackTargetsState`] | `track_targets_streaming` |
+//! | [`Count`] | `count` | `Option<f64>` | [`CountState`] | `measure_spatial_variance_streaming` |
+//! | [`Gestures`] | `gestures` | `Option<GestureDecode>` | [`GesturesState`] | `decode_gestures_streaming` |
+//! | [`Image`] | `image` | `ImagingReport` | [`ImageState`] | `image_streaming` |
 //!
 //! Modes whose output needs at least one analysis window carry
 //! `Option`s: a zero-duration (or immediately closed) session drains
 //! cleanly with `None` instead of panicking.
 
-use wivi_core::counting::StreamingVariance;
-use wivi_core::gesture::{decode, GestureDecoderConfig};
-use wivi_core::{
-    AngleSpectrogram, BeamformEngine, EngineCache, MusicConfig, MusicEngine,
-    SharedStreamingBeamform, SharedStreamingMusic, WiViConfig, WiViDevice,
-};
-use wivi_image::{
-    assert_device_geometry, nulling_tx_weight, ImageConfig, ImageFix, ImagingEngine, ImagingReport,
-    PositionTracker, PositionTrackerConfig, SharedStreamingImage,
-};
+use wivi_core::{CountState, EngineCache, GesturesState, TrackState, WiViConfig, WiViDevice};
+use wivi_image::{assert_device_geometry, nulling_tx_weight, ImageConfig, ImageState};
 use wivi_num::Complex64;
-use wivi_track::{MultiTargetTracker, TrackEvent, TrackerConfig};
+use wivi_track::{TrackEvent, TrackTargetsState};
 
 use crate::mode::{ModeOutput, SensingMode};
 
 /// Mode 1, imaging: retain every spectrogram column, output the full
-/// `A′[θ, n]` (the serving twin of `WiViDevice::track_streaming`).
-/// Payload: `Option<AngleSpectrogram>` (`None` if no window completed).
+/// `A′[θ, n]`. Payload: `Option<AngleSpectrogram>` (`None` if no window
+/// completed).
 pub struct Track;
-
-/// Per-session state of [`Track`].
-pub struct TrackState {
-    stage: SharedStreamingMusic,
-    rows: Vec<Vec<f64>>,
-    times: Vec<f64>,
-    music: MusicConfig,
-}
 
 impl SensingMode for Track {
     type State = TrackState;
@@ -57,56 +41,28 @@ impl SensingMode for Track {
     }
 
     fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> TrackState {
-        TrackState {
-            stage: SharedStreamingMusic::new(&eff.music),
-            rows: Vec::new(),
-            times: Vec::new(),
-            music: eff.music,
-        }
+        TrackState::new(&eff.music)
     }
 
     fn step(&self, state: &mut TrackState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let TrackState {
-            stage,
-            rows,
-            times,
-            music,
-        } = state;
-        let engine = engines.engine::<MusicEngine>(music);
-        stage.push_with(engine, samples, |start, _thetas, row| {
-            rows.push(row.to_vec());
-            times.push(music.isar.window_center_s(start));
-        });
+        state.push(engines.engine(state.cfg()), samples);
     }
 
     fn columns(&self, state: &TrackState) -> usize {
-        state.stage.n_columns()
+        state.n_columns()
     }
 
     fn finalize(&self, state: TrackState) -> (ModeOutput, Vec<TrackEvent>) {
-        let TrackState {
-            stage, rows, times, ..
-        } = state;
-        let spec = (!rows.is_empty())
-            .then(|| AngleSpectrogram::new(stage.thetas_deg().to_vec(), times, rows));
+        let spec = (state.n_columns() > 0).then(|| state.finish());
         (ModeOutput::new(self.tag(), spec), Vec::new())
     }
 }
 
 /// Mode 1, extended: multi-target tracking; outputs the
 /// [`TrackingReport`](wivi_track::TrackingReport) and contributes
-/// entry/exit/crossing/count events to the engine's unified stream
-/// (twin of `track_targets_streaming`). Payload: `TrackingReport`
-/// (empty if zero windows).
+/// entry/exit/crossing/count events to the engine's unified stream.
+/// Payload: `TrackingReport` (empty if zero windows).
 pub struct TrackTargets;
-
-/// Per-session state of [`TrackTargets`].
-pub struct TrackTargetsState {
-    stage: SharedStreamingMusic,
-    /// Boxed: the tracker (live tracks, histories) dwarfs the stage.
-    tracker: Box<MultiTargetTracker>,
-    music: MusicConfig,
-}
 
 impl SensingMode for TrackTargets {
     type State = TrackTargetsState;
@@ -116,13 +72,7 @@ impl SensingMode for TrackTargets {
     }
 
     fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> TrackTargetsState {
-        TrackTargetsState {
-            stage: SharedStreamingMusic::new(&eff.music),
-            tracker: Box::new(MultiTargetTracker::new(TrackerConfig::for_music(
-                &eff.music,
-            ))),
-            music: eff.music,
-        }
+        TrackTargetsState::new(&eff.music)
     }
 
     fn step(
@@ -131,39 +81,24 @@ impl SensingMode for TrackTargets {
         engines: &mut EngineCache,
         samples: &[Complex64],
     ) {
-        let TrackTargetsState {
-            stage,
-            tracker,
-            music,
-        } = state;
-        let engine = engines.engine::<MusicEngine>(music);
-        stage.push_with(engine, samples, |_start, thetas, row| {
-            tracker.push_column(thetas, row);
-        });
+        state.push(engines.engine(state.cfg()), samples);
     }
 
     fn columns(&self, state: &TrackTargetsState) -> usize {
-        state.stage.n_columns()
+        state.n_columns()
     }
 
     fn finalize(&self, state: TrackTargetsState) -> (ModeOutput, Vec<TrackEvent>) {
-        let report = state.tracker.finish();
+        let report = state.finish();
         let events = report.events.clone();
         (ModeOutput::new(self.tag(), report), events)
     }
 }
 
-/// Mode 1, counting: fold columns into the spatial-variance sink;
-/// nothing is retained (twin of `measure_spatial_variance_streaming`).
-/// Payload: `Option<f64>` (`None` if no window completed).
+/// Mode 1, counting: fold columns into the spatial-variance statistic;
+/// nothing is retained. Payload: `Option<f64>` (`None` if no window
+/// completed).
 pub struct Count;
-
-/// Per-session state of [`Count`].
-pub struct CountState {
-    stage: SharedStreamingMusic,
-    sink: StreamingVariance,
-    music: MusicConfig,
-}
 
 impl SensingMode for Count {
     type State = CountState;
@@ -173,44 +108,27 @@ impl SensingMode for Count {
     }
 
     fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> CountState {
-        CountState {
-            stage: SharedStreamingMusic::new(&eff.music),
-            sink: StreamingVariance::new(),
-            music: eff.music,
-        }
+        CountState::new(&eff.music)
     }
 
     fn step(&self, state: &mut CountState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let CountState { stage, sink, music } = state;
-        let engine = engines.engine::<MusicEngine>(music);
-        stage.push_with(engine, samples, |_start, thetas, row| {
-            sink.push_column(thetas, row);
-        });
+        state.push(engines.engine(state.cfg()), samples);
     }
 
     fn columns(&self, state: &CountState) -> usize {
-        state.stage.n_columns()
+        state.n_columns()
     }
 
     fn finalize(&self, state: CountState) -> (ModeOutput, Vec<TrackEvent>) {
-        let mean = (state.sink.n_columns() > 0).then(|| state.sink.mean());
+        let mean = (state.n_columns() > 0).then(|| state.finish());
         (ModeOutput::new(self.tag(), mean), Vec::new())
     }
 }
 
 /// Mode 2: beamform incrementally, decode the gesture message when the
-/// session closes (twin of `decode_gestures_streaming`). Payload:
-/// `Option<GestureDecode>` (`None` if no window completed).
+/// session closes. Payload: `Option<GestureDecode>` (`None` if no window
+/// completed).
 pub struct Gestures;
-
-/// Per-session state of [`Gestures`].
-pub struct GesturesState {
-    stage: SharedStreamingBeamform,
-    rows: Vec<Vec<f64>>,
-    times: Vec<f64>,
-    music: MusicConfig,
-    gesture: GestureDecoderConfig,
-}
 
 impl SensingMode for Gestures {
     type State = GesturesState;
@@ -220,64 +138,27 @@ impl SensingMode for Gestures {
     }
 
     fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> GesturesState {
-        GesturesState {
-            stage: SharedStreamingBeamform::new(&eff.music.isar),
-            rows: Vec::new(),
-            times: Vec::new(),
-            music: eff.music,
-            gesture: eff.gesture,
-        }
+        GesturesState::new(&eff.music.isar, eff.gesture)
     }
 
     fn step(&self, state: &mut GesturesState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let GesturesState {
-            stage,
-            rows,
-            times,
-            music,
-            ..
-        } = state;
-        let engine = engines.engine::<BeamformEngine>(&music.isar);
-        stage.push_with(engine, samples, |start, _thetas, row| {
-            rows.push(row.to_vec());
-            times.push(music.isar.window_center_s(start));
-        });
+        state.push(engines.engine(state.cfg()), samples);
     }
 
     fn columns(&self, state: &GesturesState) -> usize {
-        state.stage.n_columns()
+        state.n_columns()
     }
 
     fn finalize(&self, state: GesturesState) -> (ModeOutput, Vec<TrackEvent>) {
-        let GesturesState {
-            stage,
-            rows,
-            times,
-            gesture,
-            ..
-        } = state;
-        let decoded = (!rows.is_empty()).then(|| {
-            let spec = AngleSpectrogram::new(stage.thetas_deg().to_vec(), times, rows);
-            decode(&spec, &gesture)
-        });
+        let decoded = (state.n_columns() > 0).then(|| state.finish());
         (ModeOutput::new(self.tag(), decoded), Vec::new())
     }
 }
 
 /// Mode 1, 2-D: backproject each imaging aperture onto the room grid,
-/// CFAR-detect per-window (x, y) fixes, and track positions (twin of
-/// `WiViDevice::image_streaming` from `wivi-image`). Payload:
+/// CFAR-detect per-window (x, y) fixes, and track positions. Payload:
 /// `ImagingReport` (empty if no aperture filled).
 pub struct Image;
-
-/// Per-session state of [`Image`].
-pub struct ImageState {
-    stage: SharedStreamingImage,
-    /// Boxed for symmetry with the angle tracker: live position tracks
-    /// carry whole histories.
-    tracker: Box<PositionTracker>,
-    fixes: Vec<Vec<ImageFix>>,
-}
 
 impl SensingMode for Image {
     type State = ImageState;
@@ -293,40 +174,18 @@ impl SensingMode for Image {
         // session's scene).
         let icfg = ImageConfig::for_wivi(eff);
         assert_device_geometry(dev, &icfg);
-        ImageState {
-            stage: SharedStreamingImage::new(&icfg, nulling_tx_weight(dev)),
-            tracker: Box::new(PositionTracker::new(PositionTrackerConfig::for_image(
-                &icfg,
-            ))),
-            fixes: Vec::new(),
-        }
+        ImageState::new(&icfg, nulling_tx_weight(dev))
     }
 
     fn step(&self, state: &mut ImageState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let ImageState {
-            stage,
-            tracker,
-            fixes,
-        } = state;
-        let cfg = *stage.cfg();
-        let engine = engines.engine::<ImagingEngine>(&cfg);
-        stage.push_with(engine, samples, |_start, frame| {
-            tracker.push_fixes(&frame);
-            fixes.push(frame);
-        });
+        state.push(engines.engine(state.cfg()), samples);
     }
 
     fn columns(&self, state: &ImageState) -> usize {
-        state.stage.n_frames()
+        state.n_frames()
     }
 
     fn finalize(&self, state: ImageState) -> (ModeOutput, Vec<TrackEvent>) {
-        let ImageState {
-            stage,
-            tracker,
-            fixes,
-        } = state;
-        let report = ImagingReport::assemble(stage.cfg().grid, fixes, tracker.finish());
-        (ModeOutput::new(self.tag(), report), Vec::new())
+        (ModeOutput::new(self.tag(), state.finish()), Vec::new())
     }
 }

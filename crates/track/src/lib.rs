@@ -17,8 +17,8 @@
 //! * [`events`] — entry/exit, DC-line crossings, count changes, and
 //!   per-track gesture attribution.
 //! * [`device_ext`] — [`TrackTargets`], the `WiViDevice` extension
-//!   trait with offline and streaming entry points, bitwise identical
-//!   to each other like every other mode of the device.
+//!   trait, which streams a [`TrackTargetsState`] like every other mode
+//!   of the device.
 //!
 //! ```no_run
 //! use wivi_core::{WiViConfig, WiViDevice};
@@ -46,6 +46,6 @@ pub use detect::{detect_column, Detection, DetectorConfig};
 pub use device_ext::TrackTargets;
 pub use events::{EventKind, TrackEvent};
 pub use tracker::{
-    track_spectrogram, MultiTargetTracker, Track, TrackPoint, TrackStatus, TrackerConfig,
-    TrackingReport,
+    track_spectrogram, MultiTargetTracker, Track, TrackPoint, TrackStatus, TrackTargetsState,
+    TrackerConfig, TrackingReport,
 };

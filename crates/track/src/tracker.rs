@@ -23,14 +23,15 @@
 //! single window, and one-window tracks are noise, not people.
 //!
 //! Everything here is a pure deterministic function of the column
-//! sequence, so the streaming tracker is **bitwise identical** to the
-//! offline one — the same contract the spectrogram stages honour
-//! (pinned by `tests/tracking_equivalence.rs`).
+//! sequence, so the report is **bitwise identical** however the samples
+//! were batched — the same contract every session state honours (pinned
+//! by `tests/tracking_equivalence.rs`).
 
 use wivi_core::gesture::DetectedGesture;
-use wivi_core::music::MusicConfig;
+use wivi_core::music::{MusicConfig, MusicEngine};
 use wivi_core::spectrogram::AngleSpectrogram;
-use wivi_num::{solve_assignment, Kalman2};
+use wivi_core::SharedStreamingMusic;
+use wivi_num::{solve_assignment, Complex64, Kalman2};
 
 use crate::detect::{detect_column, DetectorConfig};
 use crate::events::{EventKind, TrackEvent};
@@ -141,7 +142,7 @@ impl TrackerConfig {
     }
 
     /// Centre time of analysis window `k` — the *same expression* the
-    /// streaming stages use, so report times match
+    /// session states use, so report times match
     /// [`AngleSpectrogram::times_s`] bit-for-bit.
     pub fn window_time_s(&self, k: usize) -> f64 {
         ((k * self.hop) as f64 + self.window_len as f64 / 2.0) * self.sample_period_s
@@ -396,8 +397,8 @@ impl TrackingReport {
 }
 
 /// The streaming multi-target tracker. Feed it spectrogram columns (from
-/// a [`wivi_core::Stage`] observer or an offline spectrogram) and drain
-/// the [`TrackingReport`] with [`Self::finish`].
+/// a [`TrackTargetsState`] or a whole spectrogram) and drain the
+/// [`TrackingReport`] with [`Self::finish`].
 #[derive(Clone, Debug)]
 pub struct MultiTargetTracker {
     cfg: TrackerConfig,
@@ -771,7 +772,60 @@ fn record_point(
     });
 }
 
-/// Runs the tracker over a complete spectrogram (the offline shape).
+/// Mode 1 multi-target session state: each MUSIC column is folded
+/// straight into a [`MultiTargetTracker`] the moment its window completes
+/// — no trace or spectrogram is materialized, so memory stays bounded by
+/// one analysis window plus the live tracks.
+#[derive(Clone, Debug)]
+pub struct TrackTargetsState {
+    stage: SharedStreamingMusic,
+    /// Boxed: the tracker (live tracks, histories) dwarfs the stage.
+    tracker: Box<MultiTargetTracker>,
+}
+
+impl TrackTargetsState {
+    /// Creates the state for engines built from `cfg`, tracking with
+    /// [`TrackerConfig::for_music`].
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration.
+    pub fn new(cfg: &MusicConfig) -> Self {
+        Self {
+            stage: SharedStreamingMusic::new(cfg),
+            tracker: Box::new(MultiTargetTracker::new(TrackerConfig::for_music(cfg))),
+        }
+    }
+
+    /// The configuration this session expects of its engine.
+    pub fn cfg(&self) -> &MusicConfig {
+        self.stage.cfg()
+    }
+
+    /// Feeds a batch of nulled channel samples through `engine`,
+    /// returning the number of new columns.
+    ///
+    /// # Panics
+    /// Panics if `engine` was built for a different configuration.
+    pub fn push(&mut self, engine: &mut MusicEngine, samples: &[Complex64]) -> usize {
+        let tracker = &mut self.tracker;
+        self.stage
+            .push_with(engine, samples, |_start, thetas, row| {
+                tracker.push_column(thetas, row);
+            })
+    }
+
+    /// Columns tracked so far.
+    pub fn n_columns(&self) -> usize {
+        self.stage.n_columns()
+    }
+
+    /// The tracking report (empty if no window completed).
+    pub fn finish(self) -> TrackingReport {
+        self.tracker.finish()
+    }
+}
+
+/// Runs the tracker over a complete spectrogram.
 pub fn track_spectrogram(spec: &AngleSpectrogram, cfg: TrackerConfig) -> TrackingReport {
     let mut tracker = MultiTargetTracker::new(cfg);
     for row in &spec.power {

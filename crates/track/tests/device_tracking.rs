@@ -20,7 +20,7 @@ fn approaching_walker_yields_one_positive_track() {
     )));
     let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 21);
     dev.calibrate();
-    let report = dev.track_targets(3.0);
+    let report = dev.track_targets_streaming(3.0, 16);
 
     assert!(!report.tracks.is_empty(), "no tracks for a walking subject");
     // The dominant track (longest) must be positive-θ (approaching).
@@ -34,7 +34,7 @@ fn approaching_walker_yields_one_positive_track() {
 fn static_scene_yields_no_tracks() {
     let mut dev = WiViDevice::new(walled(), WiViConfig::fast_test(), 22);
     dev.calibrate();
-    let report = dev.track_targets(2.5);
+    let report = dev.track_targets_streaming(2.5, 16);
     assert!(
         report.tracks.is_empty(),
         "static scene produced tracks: {:?}",
@@ -59,7 +59,7 @@ fn two_opposing_walkers_yield_two_tracks_with_opposite_signs() {
         )));
     let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 23);
     dev.calibrate();
-    let report = dev.track_targets(3.0);
+    let report = dev.track_targets_streaming(3.0, 16);
 
     let long: Vec<_> = report.tracks.iter().filter(|t| t.len() >= 10).collect();
     assert!(

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example gesture_messaging`
 
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::prelude::*;
 use wivi::rf::Point as P;
 
@@ -29,7 +30,7 @@ fn main() {
 
     let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), 7);
     device.calibrate();
-    let decode = device.decode_gestures(duration);
+    let decode = device.decode_gestures_streaming(duration, DEFAULT_BATCH_LEN);
 
     println!("\ndetected gestures:");
     for g in &decode.gestures {

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example intrusion_detection`
 
 use wivi::core::counting::VarianceClassifier;
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::prelude::*;
 
 fn measure(n_people: usize, seed: u64) -> f64 {
@@ -19,7 +20,7 @@ fn measure(n_people: usize, seed: u64) -> f64 {
     }
     let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), seed);
     device.calibrate();
-    device.measure_spatial_variance(10.0)
+    device.measure_spatial_variance_streaming(10.0, DEFAULT_BATCH_LEN)
 }
 
 fn main() {

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example material_survey`
 
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::prelude::*;
 use wivi::rf::Point as P;
 
@@ -23,7 +24,7 @@ fn main() {
             .with_mover(Mover::human(script));
         let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), 17);
         device.calibrate();
-        let d = device.decode_gestures(duration);
+        let d = device.decode_gestures_streaming(duration, DEFAULT_BATCH_LEN);
         let ok = d.bits.first().copied().flatten() == Some(false);
         let snr = d
             .min_gesture_snr_db()

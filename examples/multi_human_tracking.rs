@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example multi_human_tracking`
 
 use wivi::core::counting::VarianceClassifier;
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::prelude::*;
 
 fn trial(room: Rect, n: usize, seed: u64, secs: f64) -> f64 {
@@ -18,7 +19,7 @@ fn trial(room: Rect, n: usize, seed: u64, secs: f64) -> f64 {
     }
     let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), seed);
     device.calibrate();
-    device.measure_spatial_variance(secs)
+    device.measure_spatial_variance_streaming(secs, DEFAULT_BATCH_LEN)
 }
 
 fn main() {

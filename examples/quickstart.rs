@@ -2,6 +2,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::prelude::*;
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
     // The Wi-Vi device: 2 TX + 1 RX, 64-subcarrier OFDM at 2.4 GHz.
     let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), 42);
 
-    // Stage 1+2+3: initial nulling, power boosting, iterative nulling.
+    // Algorithm 1: initial nulling, power boosting, iterative nulling.
     let report = device.calibrate();
     println!(
         "nulling removed {:.1} dB of static reflections in {} iterations",
@@ -23,7 +24,7 @@ fn main() {
     );
 
     // Mode 1: record and track (A'[θ, n], the paper's Fig. 5-2 view).
-    let spectrogram = device.track(7.0);
+    let spectrogram = device.track_streaming(7.0, DEFAULT_BATCH_LEN);
     println!("\nangle–time heatmap (θ on y, +90° = moving toward the device):\n");
     println!("{}", spectrogram.render_ascii(19, 72));
 

@@ -13,10 +13,9 @@
 //! * [`num`] — complex arithmetic, FFT plans, Hermitian eigendecomposition,
 //!   the deterministic RNG.
 //! * [`rf`] — the through-wall propagation simulator and motion models.
-//! * [`sdr`] — the OFDM MIMO front-end (USRP N210 stand-in) with its
-//!   batched observation stream.
-//! * [`core`] — nulling, ISAR, MUSIC, the streaming stages, counting,
-//!   gestures, the device.
+//! * [`sdr`] — the OFDM MIMO front-end (USRP N210 stand-in).
+//! * [`core`] — nulling, ISAR, MUSIC, the per-session streaming states,
+//!   counting, gestures, the device.
 //! * [`track`] — multi-target tracking over the spectrogram: ridge
 //!   detection, optimal data association, per-track Kalman filters, and
 //!   the entry/exit/crossing/count event stream
@@ -50,20 +49,28 @@
 //!     .with_mover(Mover::human(ConfinedRandomWalk::new(room, 7, 1.0, 30.0)));
 //! let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), 42);
 //! device.calibrate();
-//! let spectrogram = device.track(7.0);
+//! // Observations stream in 16-sample batches; spectrogram columns
+//! // appear as analysis windows complete.
+//! let spectrogram = device.track_streaming(7.0, 16);
 //! println!("{}", spectrogram.render_ascii(19, 72));
 //! ```
 //!
-//! The device also runs in its real-time shape — observations stream in
-//! fixed-size batches and spectrogram columns appear as analysis windows
-//! complete, bitwise identical to the offline pass:
+//! Every mode is one per-session state pushed through a per-window engine
+//! — the device owns the engine, a serving shard shares one across its
+//! sessions. `track_streaming` is exactly this loop:
 //!
 //! ```no_run
 //! # use wivi::prelude::*;
 //! # let scene = Scene::new(Material::HollowWall6In);
 //! # let mut device = WiViDevice::new(scene, WiViConfig::paper_default(), 42);
 //! # device.calibrate();
-//! let spectrogram = device.track_streaming(7.0, 16);
+//! let music = device.config().music;
+//! let mut engine = MusicEngine::new(music);
+//! let mut state = TrackState::new(&music);
+//! device.stream(7.0, 16, |batch| {
+//!     state.push(&mut engine, batch);
+//! });
+//! let spectrogram = state.finish();
 //! ```
 
 pub use wivi_core as core;
@@ -77,10 +84,8 @@ pub use wivi_track as track;
 
 /// The most common imports for working with Wi-Vi.
 pub mod prelude {
-    pub use wivi_core::counting::{mean_spatial_variance, StreamingVariance, VarianceClassifier};
-    pub use wivi_core::{
-        AngleSpectrogram, Stage, StreamingBeamform, StreamingMusic, WiViConfig, WiViDevice,
-    };
+    pub use wivi_core::counting::{mean_spatial_variance, VarianceClassifier};
+    pub use wivi_core::{AngleSpectrogram, MusicEngine, TrackState, WiViConfig, WiViDevice};
     pub use wivi_image::{ImageConfig, ImageThroughWall, ImagingReport};
     pub use wivi_rf::{
         ConfinedRandomWalk, GestureScript, GestureStyle, Material, Mover, Point, Rect, Scene,

@@ -5,6 +5,7 @@
 //! w = 40) so they stay quick in debug builds; the full-parameter paths
 //! are exercised by the experiment binaries in `wivi-bench`.
 
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::core::music::music_spectrum;
 use wivi::prelude::*;
 use wivi::rf::{Point as P, Stationary};
@@ -45,11 +46,11 @@ fn walker_detected_against_empty_room() {
         2,
     );
     with.calibrate();
-    let v_moving = with.measure_spatial_variance(3.0);
+    let v_moving = with.measure_spatial_variance_streaming(3.0, DEFAULT_BATCH_LEN);
 
     let mut empty = WiViDevice::new(walled_scene(), cfg, 2);
     empty.calibrate();
-    let v_empty = empty.measure_spatial_variance(3.0);
+    let v_empty = empty.measure_spatial_variance_streaming(3.0, DEFAULT_BATCH_LEN);
 
     assert!(
         v_moving > 3.0 * v_empty.max(1.0),
@@ -68,11 +69,11 @@ fn stationary_person_is_invisible() {
         3,
     );
     with.calibrate();
-    let v_still = with.measure_spatial_variance(3.0);
+    let v_still = with.measure_spatial_variance_streaming(3.0, DEFAULT_BATCH_LEN);
 
     let mut empty = WiViDevice::new(walled_scene(), cfg, 3);
     empty.calibrate();
-    let v_empty = empty.measure_spatial_variance(3.0);
+    let v_empty = empty.measure_spatial_variance_streaming(3.0, DEFAULT_BATCH_LEN);
 
     assert!(
         v_still < 5.0 * v_empty.max(1.0),
@@ -93,7 +94,7 @@ fn two_bit_message_decodes_through_wall() {
     let scene = walled_scene().with_mover(Mover::human(script));
     let mut dev = WiViDevice::new(scene, quiet_fast_cfg(), 4);
     dev.calibrate();
-    let d = dev.decode_gestures(duration);
+    let d = dev.decode_gestures_streaming(duration, DEFAULT_BATCH_LEN);
     assert_eq!(
         d.bits,
         vec![Some(false), Some(true)],
@@ -117,7 +118,7 @@ fn subject_far_beyond_range_produces_erasures_not_flips() {
     let scene = walled_scene().with_mover(Mover::human(script));
     let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 5);
     dev.calibrate();
-    let d = dev.decode_gestures(duration);
+    let d = dev.decode_gestures_streaming(duration, DEFAULT_BATCH_LEN);
     assert!(
         d.bits.first().copied().flatten() != Some(true),
         "bit flip at extreme range: {:?}",
@@ -172,7 +173,7 @@ fn variance_monotone_zero_one_two() {
         }
         let mut dev = WiViDevice::new(scene, cfg, seed);
         dev.calibrate();
-        dev.measure_spatial_variance(6.0)
+        dev.measure_spatial_variance_streaming(6.0, DEFAULT_BATCH_LEN)
     };
     let v0 = measure(0, 11);
     let v2 = measure(2, 13);

@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 
 use wivi::core::counting::mean_spatial_variance;
+use wivi::core::device::DEFAULT_BATCH_LEN;
 use wivi::prelude::*;
 use wivi::rf::{GestureScript, GestureStyle, Point, Vec2};
 
@@ -38,12 +39,12 @@ fn f64_field(out: &mut String, indent: &str, name: &str, x: f64, last: bool) {
 fn tracking_trace(name: &str, scene_of: impl Fn() -> Scene, seed: u64, duration_s: f64) -> String {
     let mut dev = WiViDevice::new(scene_of(), WiViConfig::fast_test(), seed);
     dev.calibrate();
-    let spec = dev.track(duration_s);
+    let spec = dev.track_streaming(duration_s, DEFAULT_BATCH_LEN);
     let variance = mean_spatial_variance(&spec);
 
     let mut dev2 = WiViDevice::new(scene_of(), WiViConfig::fast_test(), seed);
     dev2.calibrate();
-    let report = dev2.track_targets(duration_s);
+    let report = dev2.track_targets_streaming(duration_s, DEFAULT_BATCH_LEN);
 
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -117,7 +118,7 @@ fn gesture_trace(name: &str, seed: u64) -> String {
         .with_mover(Mover::human(script));
     let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), seed);
     dev.calibrate();
-    let d = dev.decode_gestures(duration_s);
+    let d = dev.decode_gestures_streaming(duration_s, DEFAULT_BATCH_LEN);
 
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -160,7 +161,7 @@ fn imaging_trace(name: &str, seed: u64) -> String {
     let duration_s = 4.0;
     let mut dev = WiViDevice::new(imaging_scene(), WiViConfig::fast_test(), seed);
     dev.calibrate();
-    let report = dev.image(duration_s);
+    let report = dev.image_streaming(duration_s, DEFAULT_BATCH_LEN);
 
     let mut out = String::new();
     let _ = writeln!(out, "{{");

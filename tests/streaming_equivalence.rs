@@ -1,13 +1,18 @@
-//! The streaming pipeline's correctness contract: batch-incremental
-//! processing must reproduce the offline one-shot outputs **exactly** —
-//! same spectrogram bits, same counting statistic, same decoded gesture
-//! message — for any batch size, because both shapes drive the same
-//! per-window engines over the same observation sequence.
+//! The streaming pipeline's correctness contract: every mode is one
+//! per-session state pushed through one drive loop, and its output must
+//! not depend on how the recording is cut into batches. Each device entry
+//! point at batch 1, 16 and 100 must equal, bit for bit, the same call
+//! with the whole recording as one batch (the "offline" reference).
 
 use wivi::core::counting::mean_spatial_variance;
-use wivi::core::stage::{Stage, StreamingMusic};
 use wivi::prelude::*;
 use wivi::rf::Point as P;
+
+/// The batch sizes each mode is checked at.
+const BATCH_LENS: [usize; 3] = [1, 16, 100];
+
+/// A batch length that delivers the whole recording as one batch.
+const WHOLE: usize = usize::MAX;
 
 fn assert_imaging_report_eq(a: &ImagingReport, b: &ImagingReport, ctx: &str) {
     assert_eq!(a.grid, b.grid, "{ctx}: grids differ");
@@ -58,9 +63,9 @@ fn device(seed: u64) -> WiViDevice {
 #[test]
 fn streaming_track_is_bitwise_identical_to_offline() {
     let duration = 2.0;
-    let offline = device(71).track(duration);
+    let offline = device(71).track_streaming(duration, WHOLE);
 
-    for batch_len in [1usize, 16, 100] {
+    for batch_len in BATCH_LENS {
         let streamed = device(71).track_streaming(duration, batch_len);
         assert_eq!(streamed.thetas_deg, offline.thetas_deg);
         assert_eq!(streamed.times_s, offline.times_s, "batch {batch_len}");
@@ -80,11 +85,11 @@ fn streaming_track_is_bitwise_identical_to_offline() {
 #[test]
 fn streaming_count_statistic_is_exact() {
     let duration = 2.0;
-    let offline = {
-        let spec = device(72).track(duration);
-        mean_spatial_variance(&spec)
-    };
-    for batch_len in [1usize, 16, 100] {
+    let offline = device(72).measure_spatial_variance_streaming(duration, WHOLE);
+    // The streamed fold equals the statistic of the retained spectrogram.
+    let spec = device(72).track_streaming(duration, WHOLE);
+    assert_eq!(offline.to_bits(), mean_spatial_variance(&spec).to_bits());
+    for batch_len in BATCH_LENS {
         let streamed = device(72).measure_spatial_variance_streaming(duration, batch_len);
         assert_eq!(
             streamed.to_bits(),
@@ -112,61 +117,49 @@ fn streaming_gesture_decode_is_exact() {
         dev.calibrate();
         dev
     };
-    let offline = build().decode_gestures(duration);
-    let streamed = build().decode_gestures_streaming(duration, 16);
-    assert_eq!(streamed.bits, offline.bits);
-    assert_eq!(streamed.track, offline.track);
-    assert_eq!(streamed.matched, offline.matched);
-    assert_eq!(streamed.gestures.len(), offline.gestures.len());
+    let offline = build().decode_gestures_streaming(duration, WHOLE);
+    for batch_len in BATCH_LENS {
+        let streamed = build().decode_gestures_streaming(duration, batch_len);
+        assert_eq!(streamed.bits, offline.bits, "batch {batch_len}");
+        assert_eq!(streamed.track, offline.track, "batch {batch_len}");
+        assert_eq!(streamed.matched, offline.matched, "batch {batch_len}");
+        assert_eq!(streamed.gestures.len(), offline.gestures.len());
+    }
 }
 
 #[test]
 fn streaming_imaging_is_bitwise_identical_to_offline() {
     // 4 s covers several 2 s imaging apertures of the derived config.
     let duration = 4.0;
-    let offline = device(75).image(duration);
+    let offline = device(75).image_streaming(duration, WHOLE);
     assert!(offline.n_windows() >= 3, "trial too short to mean anything");
 
-    for batch_len in [7usize, 16, 100] {
+    for batch_len in BATCH_LENS {
         let streamed = device(75).image_streaming(duration, batch_len);
         assert_imaging_report_eq(&streamed, &offline, &format!("batch {batch_len}"));
     }
-
-    // An explicit (non-derived) configuration round-trips too.
-    let cfg = ImageConfig::for_wivi(&WiViConfig::fast_test());
-    let explicit_offline = device(76).image_with(duration, &cfg);
-    let explicit_streamed = device(76).image_streaming_with(duration, 16, &cfg);
-    assert_imaging_report_eq(&explicit_streamed, &explicit_offline, "explicit cfg");
 }
 
 #[test]
 fn partial_spectrogram_grows_while_device_streams() {
-    // Drive the stage manually off the device's front-end stream: columns
+    // Drive the track state off the device's drive loop by hand: columns
     // must appear incrementally, not only at the end.
     let mut dev = device(74);
-    let cfg = dev.config().music;
-    let rate = dev.config().radio.channel_rate_hz;
-    let total = (2.0 * rate).round() as usize;
-
-    let mut stage = StreamingMusic::new(cfg);
+    let music = dev.config().music;
+    let mut engine = MusicEngine::new(music);
+    let mut state = TrackState::new(&music);
     let mut growth = Vec::new();
-    let mut batch = Vec::new();
-    let mut stream = dev.frontend_mut().observe_stream(total, 32);
-    loop {
-        let got = stream.next_batch_into(&mut batch);
-        if got == 0 {
-            break;
-        }
-        let samples: Vec<_> = batch.iter().map(|o| o.combined()).collect();
-        stage.push(&samples);
-        growth.push(stage.n_columns());
-    }
+    dev.stream(2.0, 32, |batch| {
+        state.push(&mut engine, batch);
+        growth.push(state.n_columns());
+    });
     assert!(growth.len() > 3);
     assert!(
         growth[growth.len() - 1] > growth[0],
         "no incremental columns: {growth:?}"
     );
     assert!(growth.windows(2).all(|w| w[0] <= w[1]));
-    let spec = stage.finish();
+    let spec = state.finish();
     assert_eq!(spec.n_times(), *growth.last().unwrap());
+    assert_eq!(spec.power, device(74).track_streaming(2.0, 32).power);
 }

@@ -1,9 +1,10 @@
 //! The tracking pipeline's correctness contract, mirroring
-//! `streaming_equivalence.rs`: batch-incremental tracking must reproduce
-//! the offline one-shot report **exactly** — same tracks (Kalman states
-//! bit for bit), same events, same per-window counts — for any batch
-//! size, because both shapes fold the same spectrogram columns through
-//! the same deterministic tracker.
+//! `streaming_equivalence.rs`: tracking at batch 1, 16 and 100 must
+//! reproduce the report of the whole recording as one batch (the
+//! "offline" reference) **exactly** — same tracks (Kalman states bit for
+//! bit), same events, same per-window counts — because every batch split
+//! folds the same spectrogram columns through the same deterministic
+//! tracker.
 
 use wivi::prelude::*;
 use wivi::rf::Point as P;
@@ -31,7 +32,7 @@ fn device(seed: u64) -> WiViDevice {
 #[test]
 fn streaming_tracking_is_bitwise_identical_to_offline() {
     let duration = 2.5;
-    let offline = device(81).track_targets(duration);
+    let offline = device(81).track_targets_streaming(duration, usize::MAX);
     assert!(
         !offline.tracks.is_empty(),
         "scenario produced no tracks to compare"
@@ -79,7 +80,7 @@ fn streaming_tracking_is_bitwise_identical_to_offline() {
 #[test]
 fn streaming_report_times_match_spectrogram_times() {
     let duration = 2.0;
-    let spec = device(82).track(duration);
+    let spec = device(82).track_streaming(duration, 16);
     let report = device(82).track_targets_streaming(duration, 16);
     assert_eq!(report.times_s.len(), spec.times_s.len());
     for (a, b) in report.times_s.iter().zip(&spec.times_s) {

@@ -24,6 +24,7 @@ use std::time::Instant;
 use wivi_core::device::DEFAULT_BATCH_LEN;
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_num::rng::Rng64;
+use wivi_obs::export::json_escape;
 use wivi_rf::{BodyConfig, Material, Mover, Point, Scene, WaypointWalker};
 
 use wivi_core::counting::DC_GUARD_DEG;
@@ -648,10 +649,6 @@ impl ScenarioRunner {
             self.threads,
         )
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Writes `BENCH_pipeline.json`: run-level aggregates (wall-clock,

@@ -20,9 +20,9 @@ use std::time::Instant;
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_image::{nulling_tx_weight, ImageConfig, ImageState, ImagingEngine, ImagingReport};
 use wivi_num::stats;
+use wivi_obs::export::json_escape;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 
-use crate::engine::json_escape;
 use crate::serving::REALTIME_RATE;
 
 /// Boresight dead-strip half-width, metres: ground truth inside

@@ -16,6 +16,7 @@ use std::time::Instant;
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::rng::Rng64;
 use wivi_num::{simd, CMatrix, Complex64, FftPlan};
+use wivi_obs::export::json_escape;
 
 /// Side of the Jacobi working matrix (the MUSIC subarray dimension).
 pub const EIG_N: usize = 50;
@@ -232,7 +233,7 @@ pub fn write_kernels_json(path: &str, report: &KernelsReport, mode: &str) -> std
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"benchmark\": \"wivi_simd_kernels\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", crate::engine::json_escape(mode))?;
+    writeln!(f, "  \"mode\": \"{}\",", json_escape(mode))?;
     writeln!(f, "  \"cpu\": {{")?;
     writeln!(f, "    \"avx2\": {},", report.avx2)?;
     writeln!(f, "    \"fma\": {},", report.fma)?;
@@ -255,7 +256,7 @@ pub fn write_kernels_json(path: &str, report: &KernelsReport, mode: &str) -> std
         writeln!(
             f,
             "    {{\"kernel\": \"{}\", {}, \"best\": \"{}\", \"speedup\": {:.2}}}{}",
-            crate::engine::json_escape(&t.kernel),
+            json_escape(&t.kernel),
             per_level.join(", "),
             best_level,
             t.speedup(),

@@ -13,6 +13,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use wivi_core::WiViConfig;
+use wivi_obs::export::json_escape;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 use wivi_track::TrackTargets as _;
 
@@ -292,7 +293,7 @@ pub fn write_obs_json(path: &str, report: &ObsBenchReport, mode: &str) -> std::i
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"benchmark\": \"wivi_obs_overhead\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", crate::engine::json_escape(mode))?;
+    writeln!(f, "  \"mode\": \"{}\",", json_escape(mode))?;
     // Budgets apply to every row's throughput-derived per-thread cost —
     // the obs_gate bin enforces them at each thread count, not just 1.
     writeln!(

@@ -21,18 +21,19 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use wivi_core::WiViConfig;
+use wivi_obs::export::json_escape;
 use wivi_rf::{
     GestureScript, GestureStyle, Material, Mover, Point, Scene, SceneHandle, SceneStore, Vec2,
     WaypointWalker,
 };
 use wivi_serve::net::ClientError;
 use wivi_serve::{
-    modes, ModeRef, OpenRequest, ServeConfig, ServeEngine, ServeReport, SessionSpec, WireClient,
-    WireServer, WireServerConfig,
+    Mode, OpenRequest, ServeConfig, ServeEngine, ServeReport, SessionSpec, WireClient, WireServer,
+    WireServerConfig,
 };
 use wivi_track::TrackTargets;
 
-use crate::engine::{json_escape, MotionModel, ScenarioSpec};
+use crate::engine::{MotionModel, ScenarioSpec};
 use crate::scenarios::Room;
 
 /// The paper's per-session channel rate (§7.1), samples/sec — what one
@@ -76,16 +77,17 @@ pub fn soak_sessions(n: usize, duration_s: f64, config: &WiViConfig) -> Vec<Sess
         MotionModel::Pacing,
         MotionModel::Crossing,
     ];
+    let mix = [
+        Mode::TrackTargets,
+        Mode::Count,
+        Mode::Track,
+        Mode::Gestures,
+        Mode::Image,
+    ];
     (0..n)
         .map(|i| {
-            let mode: ModeRef = match i % 5 {
-                0 => modes::TrackTargets.into(),
-                1 => modes::Count.into(),
-                2 => modes::Track.into(),
-                3 => modes::Gestures.into(),
-                _ => modes::Image.into(),
-            };
-            let imaging = mode.tag() == "image";
+            let mode = mix[i % mix.len()];
+            let imaging = mode == Mode::Image;
             let scenario = ScenarioSpec {
                 room: if imaging {
                     Room::Small
@@ -102,7 +104,7 @@ pub fn soak_sessions(n: usize, duration_s: f64, config: &WiViConfig) -> Vec<Sess
                 trial: i as u64,
                 duration_s,
             };
-            let scene = if mode.tag() == "gestures" {
+            let scene = if mode == Mode::Gestures {
                 gesture_scene(i)
             } else {
                 scenario.build_scene()
@@ -180,7 +182,7 @@ fn timed_fleet_open(
                     .config(*config)
                     .seed(500 + id)
                     .duration_s(0.0)
-                    .mode(modes::Count)
+                    .mode(Mode::Count)
                     .build(),
             )
             .unwrap();
@@ -606,9 +608,9 @@ mod tests {
             &tags[..5],
             &["track_targets", "count", "track", "gestures", "image"]
         );
-        // Every registered mode appears in a cycle-length prefix.
-        for mode in wivi_serve::ModeRegistry::builtin().tags() {
-            assert!(tags.contains(&mode), "{mode} missing from the mix");
+        // Every mode appears in a cycle-length prefix.
+        for mode in Mode::ALL {
+            assert!(tags.contains(&mode.tag()), "{mode:?} missing from the mix");
         }
     }
 

@@ -26,10 +26,6 @@
 //!   `A′[θ, n]` columns as analysis windows complete — the one
 //!   implementation of every mode, for the device and the serving shards
 //!   alike.
-//! * [`cache`] — the keyed engine registry serving shards share their
-//!   per-window engines through: any crate registers its engine type via
-//!   [`ShardEngine`], and same-configuration sessions share one resident
-//!   engine.
 //! * [`device`] — [`WiViDevice`], the end-to-end device tying all stages
 //!   together in the paper's two operating modes, with one batch-streaming
 //!   drive loop behind every entry point.
@@ -38,7 +34,6 @@
 //!   without nulling (the related-work approach the flash defeats, §2.1).
 
 pub mod baseline;
-pub mod cache;
 pub mod counting;
 pub mod device;
 pub mod gesture;
@@ -48,7 +43,6 @@ pub mod nulling;
 pub mod spectrogram;
 pub mod stage;
 
-pub use cache::{EngineCache, ShardEngine};
 pub use counting::CountState;
 pub use device::{WiViConfig, WiViDevice};
 pub use gesture::GesturesState;

@@ -18,11 +18,11 @@
 //! sliding [`WindowBuffer`] and whatever the mode folds columns into —
 //! and borrows the heavy per-window engine ([`MusicEngine`],
 //! [`BeamformEngine`]) at every push. The device entry points pass an
-//! engine they own; a serving shard passes the one it caches for every
-//! same-configuration session ([`crate::EngineCache`]). An engine's output
-//! depends only on its configuration and the window (its scratch is fully
-//! overwritten every call), so both callers emit the same bits, for any
-//! batch split of the same samples. Window-rate processing reuses the
+//! engine they own; a serving shard passes the one it pools for every
+//! same-configuration session. An engine's output depends only on its
+//! configuration and the window (its scratch is fully overwritten every
+//! call), so both callers emit the same bits, for any batch split of the
+//! same samples. Window-rate processing reuses the
 //! engines' scratch with no heap allocation beyond the emitted rows, and
 //! the sample buffer is trimmed as windows complete.
 

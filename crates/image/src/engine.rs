@@ -50,7 +50,6 @@
 //! identical by construction: the output depends only on the
 //! configuration, the window contents, and the nulling weight.
 
-use wivi_core::ShardEngine;
 use wivi_num::{ca_cfar_2d, simd, Complex64, Grid2d};
 use wivi_rf::Point;
 
@@ -111,19 +110,6 @@ fn default_focus_threads() -> usize {
             .filter(|&n| n >= 1)
             .unwrap_or(1)
     })
-}
-
-/// Serving shards host imaging engines through the generic engine
-/// registry: the engine is a pure function of (configuration, window,
-/// nulling weight) — the weight is a per-push runtime parameter — so
-/// same-configuration sessions share one steering table even when their
-/// nulling converged differently.
-impl ShardEngine for ImagingEngine {
-    type Config = ImageConfig;
-
-    fn build(cfg: &ImageConfig) -> Self {
-        ImagingEngine::new(*cfg)
-    }
 }
 
 impl ImagingEngine {

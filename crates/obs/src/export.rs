@@ -28,7 +28,9 @@
 
 use crate::metrics::Snapshot;
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -155,6 +157,12 @@ mod tests {
             h.record(v);
         }
         r.snapshot(false)
+    }
+
+    #[test]
+    fn json_escape_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\ny\u{1}"), "x\\ny\\u0001");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub struct ServeConfig {
     pub n_shards: usize,
     /// Worker threads *inside* each shard: every round, the shard
     /// round-robin partitions its id-sorted live sessions across this
-    /// many scoped threads, each owning a private engine cache and
+    /// many scoped threads, each owning a private engine pool and
     /// scratch buffer. Sessions share no mutable state, so outputs and
     /// the merged event stream are bit-identical for every worker
     /// count; only wall-clock changes. `1` is the classic
@@ -300,7 +300,7 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// Starts the engine: spawns `cfg.n_shards` worker threads, each
-    /// with its own bounded command queue and engine cache.
+    /// with its own bounded command queue and engine pool.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
@@ -575,7 +575,7 @@ mod tests {
             wivi_core::WiViConfig::fast_test(),
             1,
             0.0,
-            crate::modes::Count,
+            crate::Mode::Count,
         )
     }
 

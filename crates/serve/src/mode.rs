@@ -1,306 +1,328 @@
-//! The sensing-mode API: one radio, pluggable read-outs.
+//! The sensing modes: one radio, a closed set of read-outs.
 //!
-//! The paper's device is a single RF front end with many read-outs —
-//! tracking, counting, gestures, imaging — and related systems (SiWa's
-//! radar → multi-head pipeline, the crowd-counting reuse of one link for
-//! a different estimator) expose exactly that shape. This module makes
-//! the read-out set *open*: a sensing mode is an implementation of
-//! [`SensingMode`], the serving engine dispatches through type-erased
-//! [`ModeRef`]s, and a [`ModeRegistry`] maps stable string tags to
-//! modes. Nothing in the serving engine enumerates modes; a new mode —
-//! including one defined in a downstream crate — plugs in by
-//! implementing the trait (see the crate-level example, which registers
-//! a sixth mode from outside this crate).
+//! The paper's device is a single RF front end with a fixed set of
+//! read-outs — tracking and counting (§5, §7), gesture decoding (§6) —
+//! plus this repo's through-wall imaging. [`Mode`] names them, and every
+//! place that dispatches on a mode is an exhaustive `match`: adding a
+//! read-out means adding a variant, and the compiler then lists each
+//! `match` that must learn it (session state, payload, wire encoding).
 //!
-//! The lifecycle mirrors a session's: [`SensingMode::open`] builds the
-//! per-session streaming state for a freshly calibrated device,
-//! [`SensingMode::step`] consumes one batch of residual-channel samples
-//! (borrowing the shard's [`EngineCache`] for the heavy per-window
-//! compute), and [`SensingMode::finalize`] drains the state into a
-//! [`ModeOutput`] plus the session's contribution to the engine's
-//! unified [`TrackEvent`] stream — modes without events return an empty
-//! vector from the one shared code path instead of each dispatch arm
-//! hand-writing `Vec::new()`.
-//!
-//! **Determinism contract.** A mode's output must be a pure function of
-//! `(effective config, sample stream)`: state lives in
-//! `Self::State`, shard engines hold no cross-window state, and nothing
-//! may read clocks, thread ids, or global state. The serving engine
-//! inherits its bitwise shard-count/submission-order invariance from
+//! Each mode runs the per-session state the matching `WiViDevice` entry
+//! point streams. The heavy per-window engine comes from the shard
+//! worker's engine pool, keyed by the same configuration values, instead
+//! of being owned, and finishing drains the state into the same
+//! payload. So each served session is *bitwise identical* to its
+//! standalone run; the golden traces and the determinism matrix pin
 //! this.
+//!
+//! | mode | tag | payload ([`ModeOutput`] variant) | state | device entry point |
+//! |------|-----|----------------------------------|-------|--------------------|
+//! | [`Mode::Track`] | `track` | `Option<AngleSpectrogram>` | [`TrackState`] | `track_streaming` |
+//! | [`Mode::TrackTargets`] | `track_targets` | `TrackingReport` | [`TrackTargetsState`] | `track_targets_streaming` |
+//! | [`Mode::Count`] | `count` | `Option<f64>` | [`CountState`] | `measure_spatial_variance_streaming` |
+//! | [`Mode::Gestures`] | `gestures` | `Option<GestureDecode>` | [`GesturesState`] | `decode_gestures_streaming` |
+//! | [`Mode::Image`] | `image` | `ImagingReport` | [`ImageState`] | `image_streaming` |
+//!
+//! Modes whose output needs at least one analysis window carry
+//! `Option`s: a zero-duration (or immediately closed) session drains
+//! cleanly with `None` instead of panicking.
+//!
+//! **Determinism contract.** A mode's output is a pure function of
+//! `(effective config, sample stream)`: state lives in the session,
+//! pooled engines hold no cross-window state, and nothing reads clocks,
+//! thread ids, or global state. The serving engine inherits its bitwise
+//! shard-count/submission-order invariance from this.
 
-use std::any::Any;
-use std::sync::Arc;
-
-use wivi_core::{EngineCache, WiViConfig, WiViDevice};
+use wivi_core::gesture::GestureDecode;
+use wivi_core::{
+    AngleSpectrogram, BeamformEngine, CountState, GesturesState, IsarConfig, MusicConfig,
+    MusicEngine, TrackState, WiViConfig, WiViDevice,
+};
+use wivi_image::{
+    assert_device_geometry, nulling_tx_weight, ImageConfig, ImageState, ImagingEngine,
+    ImagingReport,
+};
 use wivi_num::Complex64;
-use wivi_track::TrackEvent;
+use wivi_track::{TrackEvent, TrackTargetsState, TrackingReport};
 
-/// One sensing read-out of the device: how to open, advance, and drain
-/// a session of this mode. Implementations are stateless recipes — all
-/// per-session state lives in `Self::State`; shared heavy scratch lives
-/// in the shard's [`EngineCache`].
-pub trait SensingMode: Send + Sync + 'static {
-    /// Per-session streaming state.
-    type State: Send + 'static;
-
-    /// Stable identifier used in reports, JSON, and the
-    /// [`ModeRegistry`]. Must be unique among registered modes.
-    fn tag(&self) -> &'static str;
-
-    /// Builds the session's streaming state for a calibrated device.
-    /// `eff` is the device's *effective* configuration (the device
-    /// derives e.g. the MUSIC noise floor at construction) — the same
-    /// values the standalone `*_streaming` entry points run with.
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> Self::State;
-
-    /// Consumes one batch of nulled residual-channel samples, borrowing
-    /// the shard's engine cache for the per-window compute.
-    fn step(&self, state: &mut Self::State, engines: &mut EngineCache, samples: &[Complex64]);
-
-    /// Analysis windows (spectrogram columns / imaging frames) the
-    /// session has completed so far.
-    fn columns(&self, state: &Self::State) -> usize;
-
-    /// Drains the session into its output and its tracker events
-    /// (session-relative times, emission order; empty for modes without
-    /// an event stream). The output's tag is normalized to
-    /// [`Self::tag`] by the serving layer, so it cannot disagree with
-    /// the session's mode.
-    fn finalize(&self, state: Self::State) -> (ModeOutput, Vec<TrackEvent>);
+/// One sensing read-out of the device.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Retain every spectrogram column and output the full `A′[θ, n]`.
+    Track,
+    /// Multi-target tracking: the tracker's report, plus its
+    /// entry/exit/crossing/count events in the engine's unified stream.
+    TrackTargets,
+    /// Fold columns into the spatial-variance counting statistic.
+    Count,
+    /// Beamform incrementally and decode the gesture message at close.
+    Gestures,
+    /// Backproject each aperture onto the room grid, CFAR-detect (x, y)
+    /// fixes, and track positions.
+    Image,
 }
 
-/// The type-erased payload a finished session produced, tagged with its
-/// mode. Downcast with [`Self::get`] / [`Self::expect`] to the payload
-/// type the mode documents (e.g. `TrackingReport` for `track_targets`).
-/// Cloning is an `Arc` bump.
-#[derive(Clone)]
-pub struct ModeOutput {
-    tag: &'static str,
-    value: Arc<dyn Any + Send + Sync>,
+impl Mode {
+    /// Every mode, in tag order.
+    pub const ALL: [Mode; 5] = [
+        Mode::Track,
+        Mode::TrackTargets,
+        Mode::Count,
+        Mode::Gestures,
+        Mode::Image,
+    ];
+
+    /// The stable identifier used in reports, JSON, and the wire `OPEN`.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Mode::Track => "track",
+            Mode::TrackTargets => "track_targets",
+            Mode::Count => "count",
+            Mode::Gestures => "gestures",
+            Mode::Image => "image",
+        }
+    }
+
+    /// The mode whose [`tag`](Self::tag) is `tag`, if any.
+    pub fn from_tag(tag: &str) -> Option<Mode> {
+        Mode::ALL.into_iter().find(|m| m.tag() == tag)
+    }
 }
+
+/// The payload a finished session produced: one variant per [`Mode`].
+/// `None` payloads mean no analysis window completed.
+#[derive(Clone, Debug)]
+pub enum ModeOutput {
+    Track(Option<AngleSpectrogram>),
+    TrackTargets(TrackingReport),
+    Count(Option<f64>),
+    Gestures(Option<GestureDecode>),
+    Image(ImagingReport),
+}
+
+/// A payload type a [`ModeOutput`] can hold — implemented for exactly
+/// the five payloads in the [module table](self), so
+/// [`ModeOutput::get`] needs no run-time type information.
+pub trait Payload: Sized {
+    /// The payload of `out`, if `out` holds a `Self`.
+    fn of(out: &ModeOutput) -> Option<&Self>;
+}
+
+macro_rules! payloads {
+    ($($variant:ident => $ty:ty),* $(,)?) => {$(
+        impl Payload for $ty {
+            fn of(out: &ModeOutput) -> Option<&Self> {
+                match out {
+                    ModeOutput::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+payloads!(
+    Track => Option<AngleSpectrogram>,
+    TrackTargets => TrackingReport,
+    Count => Option<f64>,
+    Gestures => Option<GestureDecode>,
+    Image => ImagingReport,
+);
 
 impl ModeOutput {
-    /// Wraps a mode's payload.
-    pub fn new<T: Any + Send + Sync>(tag: &'static str, value: T) -> Self {
-        Self {
-            tag,
-            value: Arc::new(value),
+    /// The mode that produced this payload.
+    pub fn mode(&self) -> Mode {
+        match self {
+            ModeOutput::Track(_) => Mode::Track,
+            ModeOutput::TrackTargets(_) => Mode::TrackTargets,
+            ModeOutput::Count(_) => Mode::Count,
+            ModeOutput::Gestures(_) => Mode::Gestures,
+            ModeOutput::Image(_) => Mode::Image,
         }
     }
 
     /// The producing mode's tag.
     pub fn tag(&self) -> &'static str {
-        self.tag
+        self.mode().tag()
     }
 
     /// The payload, if it is a `T`.
-    pub fn get<T: Any>(&self) -> Option<&T> {
-        self.value.downcast_ref::<T>()
-    }
-
-    /// `true` if the payload is a `T`.
-    pub fn is<T: Any>(&self) -> bool {
-        self.value.is::<T>()
+    pub fn get<T: Payload>(&self) -> Option<&T> {
+        T::of(self)
     }
 
     /// The payload as a `T`.
     ///
     /// # Panics
     /// Panics (with the mode tag) if the payload is not a `T`.
-    pub fn expect<T: Any>(&self) -> &T {
+    pub fn expect<T: Payload>(&self) -> &T {
         self.get::<T>().unwrap_or_else(|| {
             panic!(
                 "mode '{}' output is not a {}",
-                self.tag,
+                self.tag(),
                 std::any::type_name::<T>()
             )
         })
     }
 }
 
-impl std::fmt::Debug for ModeOutput {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ModeOutput({})", self.tag)
-    }
+/// One session's streaming state: the per-mode state the device entry
+/// point streams, pushed through the shard's pooled engines.
+pub(crate) enum ModeState {
+    Track(TrackState),
+    TrackTargets(TrackTargetsState),
+    Count(CountState),
+    Gestures(GesturesState),
+    Image(ImageState),
 }
 
-/// Object-safe per-session state: a [`SensingMode`] bound to one
-/// session's `State` so shards can drive any mode without knowing its
-/// types.
-pub(crate) trait ErasedState: Send {
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]);
-    fn columns(&self) -> usize;
-    fn finalize(self: Box<Self>) -> (ModeOutput, Vec<TrackEvent>);
-}
-
-/// A mode paired with one session's state.
-struct BoundState<M: SensingMode> {
-    mode: Arc<M>,
-    state: M::State,
-}
-
-impl<M: SensingMode> ErasedState for BoundState<M> {
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
-        self.mode.step(&mut self.state, engines, samples);
+impl ModeState {
+    /// Builds the session's state for a calibrated device. `eff` is the
+    /// device's *effective* configuration (the device derives e.g. the
+    /// MUSIC noise floor at construction) — the same values the
+    /// standalone `*_streaming` entry points run with.
+    pub(crate) fn open(mode: Mode, dev: &WiViDevice, eff: &WiViConfig) -> Self {
+        match mode {
+            Mode::Track => Self::Track(TrackState::new(&eff.music)),
+            Mode::TrackTargets => Self::TrackTargets(TrackTargetsState::new(&eff.music)),
+            Mode::Count => Self::Count(CountState::new(&eff.music)),
+            Mode::Gestures => Self::Gestures(GesturesState::new(&eff.music.isar, eff.gesture)),
+            Mode::Image => {
+                // The derived configuration plus the session's own
+                // nulling weight, with the geometry check against the
+                // session's scene — exactly what `image_streaming` does.
+                let icfg = ImageConfig::for_wivi(eff);
+                assert_device_geometry(dev, &icfg);
+                Self::Image(ImageState::new(&icfg, nulling_tx_weight(dev)))
+            }
+        }
     }
 
-    fn columns(&self) -> usize {
-        self.mode.columns(&self.state)
+    /// Consumes one batch of nulled residual-channel samples.
+    pub(crate) fn step(&mut self, engines: &mut EnginePool, samples: &[Complex64]) {
+        match self {
+            Self::Track(s) => s.push(engines.music(s.cfg()), samples),
+            Self::TrackTargets(s) => s.push(engines.music(s.cfg()), samples),
+            Self::Count(s) => s.push(engines.music(s.cfg()), samples),
+            Self::Gestures(s) => s.push(engines.beamform(s.cfg()), samples),
+            Self::Image(s) => s.push(engines.imaging(s.cfg()), samples),
+        };
     }
 
-    fn finalize(self: Box<Self>) -> (ModeOutput, Vec<TrackEvent>) {
-        let (mut out, events) = self.mode.finalize(self.state);
-        // The registry identity is authoritative: a mode whose finalize
-        // stamped a different (or typoed) tag cannot make the output's
-        // tag disagree with the session's mode.
-        out.tag = self.mode.tag();
+    /// Analysis windows (spectrogram columns / imaging frames) completed
+    /// so far.
+    pub(crate) fn columns(&self) -> usize {
+        match self {
+            Self::Track(s) => s.n_columns(),
+            Self::TrackTargets(s) => s.n_columns(),
+            Self::Count(s) => s.n_columns(),
+            Self::Gestures(s) => s.n_columns(),
+            Self::Image(s) => s.n_frames(),
+        }
+    }
+
+    /// Drains the session into its payload and its tracker events
+    /// (session-relative times, emission order; empty for modes without
+    /// an event stream).
+    pub(crate) fn finish(self) -> (ModeOutput, Vec<TrackEvent>) {
+        let any = self.columns() > 0;
+        let out = match self {
+            Self::Track(s) => ModeOutput::Track(any.then(|| s.finish())),
+            Self::TrackTargets(s) => ModeOutput::TrackTargets(s.finish()),
+            Self::Count(s) => ModeOutput::Count(any.then(|| s.finish())),
+            Self::Gestures(s) => ModeOutput::Gestures(any.then(|| s.finish())),
+            Self::Image(s) => ModeOutput::Image(s.finish()),
+        };
+        let events = match &out {
+            ModeOutput::TrackTargets(report) => report.events.clone(),
+            _ => Vec::new(),
+        };
         (out, events)
     }
 }
 
-/// Object-safe mode surface (tag + open), behind [`ModeRef`].
-trait ErasedMode: Send + Sync {
-    fn tag(&self) -> &'static str;
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ErasedState>;
+/// One worker's per-window engines, keyed by configuration: all
+/// sessions on a worker that share a configuration share one resident
+/// engine — one steering table, one correlation matrix, one
+/// eigendecomposition workspace. Each engine is built on first use.
+///
+/// Engines hold no cross-window state: borrowed per batch by
+/// interleaved sessions, one produces for each session exactly what a
+/// privately owned engine would.
+#[derive(Default)]
+pub(crate) struct EnginePool {
+    music: Vec<(MusicConfig, MusicEngine)>,
+    beamform: Vec<(IsarConfig, BeamformEngine)>,
+    imaging: Vec<(ImageConfig, ImagingEngine)>,
 }
 
-struct Erased<M: SensingMode>(Arc<M>);
-
-impl<M: SensingMode> ErasedMode for Erased<M> {
-    fn tag(&self) -> &'static str {
-        self.0.tag()
+impl EnginePool {
+    pub(crate) fn music(&mut self, cfg: &MusicConfig) -> &mut MusicEngine {
+        resident(&mut self.music, cfg, MusicEngine::new)
     }
 
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ErasedState> {
-        Box::new(BoundState {
-            mode: Arc::clone(&self.0),
-            state: self.0.open(dev, eff),
-        })
-    }
-}
-
-/// A cheap, cloneable, type-erased handle to a [`SensingMode`] — what a
-/// [`SessionSpec`](crate::SessionSpec) carries and shards dispatch
-/// through. Obtain one from a mode value (`ModeRef::new(Track)`, or any
-/// `impl Into<ModeRef>` parameter) or from a [`ModeRegistry`] by tag.
-#[derive(Clone)]
-pub struct ModeRef(Arc<dyn ErasedMode>);
-
-impl ModeRef {
-    /// Erases a mode into a shareable handle.
-    pub fn new<M: SensingMode>(mode: M) -> Self {
-        Self(Arc::new(Erased(Arc::new(mode))))
+    pub(crate) fn beamform(&mut self, cfg: &IsarConfig) -> &mut BeamformEngine {
+        resident(&mut self.beamform, cfg, BeamformEngine::new)
     }
 
-    /// The mode's stable tag.
-    pub fn tag(&self) -> &'static str {
-        self.0.tag()
+    pub(crate) fn imaging(&mut self, cfg: &ImageConfig) -> &mut ImagingEngine {
+        resident(&mut self.imaging, cfg, ImagingEngine::new)
     }
 
-    /// Opens per-session state (crate-internal: shards call this).
-    pub(crate) fn open_state(&self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ErasedState> {
-        self.0.open(dev, eff)
+    /// Distinct engines resident — the sharing-degree telemetry (N
+    /// same-config sessions still mean one engine).
+    pub(crate) fn len(&self) -> usize {
+        self.music.len() + self.beamform.len() + self.imaging.len()
     }
 }
 
-impl<M: SensingMode> From<M> for ModeRef {
-    fn from(mode: M) -> Self {
-        ModeRef::new(mode)
-    }
+/// The engine in `list` for `cfg`, built with `build` on first use.
+fn resident<'a, C: Copy + PartialEq, E>(
+    list: &'a mut Vec<(C, E)>,
+    cfg: &C,
+    build: impl FnOnce(C) -> E,
+) -> &'a mut E {
+    let i = match list.iter().position(|(c, _)| c == cfg) {
+        Some(i) => {
+            hooks::cache_hit();
+            i
+        }
+        None => {
+            hooks::cache_miss();
+            list.push((*cfg, build(*cfg)));
+            list.len() - 1
+        }
+    };
+    &mut list[i].1
 }
 
-/// Two refs are equal when they name the same mode (same tag) — tags
-/// are the registry's identity, unique by construction.
-impl PartialEq for ModeRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.tag() == other.tag()
-    }
-}
+/// Pool hit/miss counters on the global obs registry, `WIVI_OBS`-gated.
+/// Handles are built once (registration takes a lock) and the gated
+/// fast path is a static load + branch when observability is off.
+mod hooks {
+    use std::sync::OnceLock;
+    use wivi_obs::Counter;
 
-impl Eq for ModeRef {}
-
-impl std::fmt::Debug for ModeRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ModeRef({})", self.tag())
-    }
-}
-
-/// The table of registered sensing modes: tag → mode, in registration
-/// order. [`Self::builtin`] holds the device's five native read-outs;
-/// downstream crates [`register`](Self::register) their own on top —
-/// the registry is the *one* place the mode set is spelled out, and the
-/// registry-exhaustiveness test serves one session per entry so a mode
-/// cannot exist half-wired.
-#[derive(Clone, Default)]
-pub struct ModeRegistry {
-    modes: Vec<ModeRef>,
-}
-
-impl ModeRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    fn counter(which: &str) -> Counter {
+        wivi_obs::global().counter(&format!("core.engine_cache.{which}"))
     }
 
-    /// The built-in mode table: `track`, `track_targets`, `count`,
-    /// `gestures`, `image` — in that (stable) order.
-    pub fn builtin() -> Self {
-        let mut reg = Self::new();
-        reg.register(crate::modes::Track);
-        reg.register(crate::modes::TrackTargets);
-        reg.register(crate::modes::Count);
-        reg.register(crate::modes::Gestures);
-        reg.register(crate::modes::Image);
-        reg
+    #[inline]
+    pub(super) fn cache_hit() {
+        if !wivi_obs::enabled() {
+            return;
+        }
+        static HITS: OnceLock<Counter> = OnceLock::new();
+        HITS.get_or_init(|| counter("hits")).inc();
     }
 
-    /// Registers a mode, returning its handle.
-    ///
-    /// # Panics
-    /// Panics if a mode with the same tag is already registered.
-    pub fn register<M: SensingMode>(&mut self, mode: M) -> ModeRef {
-        self.register_ref(ModeRef::new(mode))
-    }
-
-    /// Registers an already-erased mode handle.
-    ///
-    /// # Panics
-    /// Panics if a mode with the same tag is already registered.
-    pub fn register_ref(&mut self, mode: ModeRef) -> ModeRef {
-        assert!(
-            self.get(mode.tag()).is_none(),
-            "mode '{}' already registered",
-            mode.tag()
-        );
-        self.modes.push(mode.clone());
-        mode
-    }
-
-    /// The mode registered under `tag`, if any — the inverse of
-    /// [`ModeRef::tag`].
-    pub fn get(&self, tag: &str) -> Option<ModeRef> {
-        self.modes.iter().find(|m| m.tag() == tag).cloned()
-    }
-
-    /// All registered modes, in registration order.
-    pub fn modes(&self) -> &[ModeRef] {
-        &self.modes
-    }
-
-    /// All registered tags, in registration order.
-    pub fn tags(&self) -> Vec<&'static str> {
-        self.modes.iter().map(|m| m.tag()).collect()
-    }
-
-    /// Number of registered modes.
-    pub fn len(&self) -> usize {
-        self.modes.len()
-    }
-
-    /// `true` if no mode is registered.
-    pub fn is_empty(&self) -> bool {
-        self.modes.is_empty()
+    #[inline]
+    pub(super) fn cache_miss() {
+        if !wivi_obs::enabled() {
+            return;
+        }
+        static MISSES: OnceLock<Counter> = OnceLock::new();
+        MISSES.get_or_init(|| counter("misses")).inc();
     }
 }
 
@@ -309,51 +331,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_registry_has_the_five_modes_in_order() {
-        let reg = ModeRegistry::builtin();
+    fn every_mode_round_trips_its_tag() {
+        let tags: Vec<&str> = Mode::ALL.iter().map(|m| m.tag()).collect();
         assert_eq!(
-            reg.tags(),
-            vec!["track", "track_targets", "count", "gestures", "image"]
+            tags,
+            ["track", "track_targets", "count", "gestures", "image"]
         );
-        for tag in reg.tags() {
-            let m = reg.get(tag).expect("registered");
-            assert_eq!(m.tag(), tag);
+        for m in Mode::ALL {
+            assert_eq!(Mode::from_tag(m.tag()), Some(m));
         }
-        assert!(reg.get("no_such_mode").is_none());
-        assert_eq!(reg.len(), 5);
-        assert!(!reg.is_empty());
+        assert_eq!(Mode::from_tag("no_such_mode"), None);
     }
 
     #[test]
-    fn mode_refs_compare_by_tag() {
-        let a = ModeRef::new(crate::modes::Track);
-        let b = ModeRegistry::builtin().get("track").unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, ModeRef::new(crate::modes::Count));
-        assert_eq!(format!("{a:?}"), "ModeRef(track)");
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn duplicate_tags_are_rejected() {
-        let mut reg = ModeRegistry::builtin();
-        reg.register(crate::modes::Track);
-    }
-
-    #[test]
-    fn mode_output_downcasts() {
-        let out = ModeOutput::new("count", Some(1.5f64));
+    fn mode_output_gets_only_its_own_payload() {
+        let out = ModeOutput::Count(Some(1.5));
+        assert_eq!(out.mode(), Mode::Count);
         assert_eq!(out.tag(), "count");
-        assert!(out.is::<Option<f64>>());
         assert_eq!(*out.expect::<Option<f64>>(), Some(1.5));
-        assert!(out.get::<String>().is_none());
-        assert_eq!(format!("{out:?}"), "ModeOutput(count)");
+        assert!(out.get::<TrackingReport>().is_none());
     }
 
     #[test]
     #[should_panic(expected = "output is not a")]
     fn mode_output_expect_panics_on_wrong_type() {
-        let out = ModeOutput::new("count", 1.5f64);
-        let _ = out.expect::<String>();
+        let out = ModeOutput::Count(Some(1.5));
+        let _ = out.expect::<ImagingReport>();
+    }
+
+    #[test]
+    fn same_config_shares_one_engine() {
+        let mut pool = EnginePool::default();
+        assert_eq!(pool.len(), 0);
+        let cfg = MusicConfig::fast_test();
+        let a = pool.music(&cfg) as *mut MusicEngine;
+        let b = pool.music(&cfg) as *mut MusicEngine;
+        assert_eq!(a, b, "same configuration must yield the same engine");
+        assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn distinct_configs_and_types_get_distinct_engines() {
+        let mut pool = EnginePool::default();
+        let cfg = MusicConfig::fast_test();
+        pool.music(&cfg);
+        pool.beamform(&cfg.isar);
+        let stricter = MusicConfig {
+            signal_threshold_db: cfg.signal_threshold_db + 1.0,
+            ..cfg
+        };
+        pool.music(&stricter);
+        pool.music(&cfg);
+        assert_eq!(pool.len(), 3);
     }
 }

@@ -4,23 +4,25 @@
 //! session — the scene behind the wall (owned, or shared through a
 //! [`SceneHandle`] from a [`SceneStore`](wivi_rf::SceneStore)), the
 //! device configuration, the deterministic seed, how long to record,
-//! and which [`SensingMode`](crate::SensingMode) to run. The engine
-//! routes it to a worker shard, which owns the session through its
-//! lifecycle (open → stream → drain → close) and produces a
-//! [`SessionOutput`].
+//! and which [`Mode`] to run. The engine routes it to a worker shard,
+//! which owns the session through its lifecycle (open → stream → drain
+//! → close) and produces a [`SessionOutput`].
 //!
 //! The per-session streaming state (`ActiveSession`, crate-private) is
 //! deliberately thin: the mode's state holds only per-session data, and
 //! the heavy per-window scratch (steering tables, FFT plans, the
-//! eigendecomposition workspace) lives once per *shard* in the keyed
-//! [`EngineCache`] and is borrowed per batch — see [`crate::shard`].
+//! eigendecomposition workspace) lives once per shard worker in its
+//! configuration-keyed engine pool and is borrowed per batch — see
+//! [`crate::shard`].
 
-use wivi_core::{EngineCache, WiViConfig, WiViDevice};
+use std::sync::Arc;
+
+use wivi_core::{WiViConfig, WiViDevice};
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
 use wivi_track::TrackEvent;
 
-use crate::mode::{ErasedState, ModeOutput, ModeRef};
+use crate::mode::{EnginePool, Mode, ModeOutput, ModeState};
 
 /// Session identity. Must be unique across the engine's lifetime; ties
 /// in the merged event stream break by it, and shard routing hashes it.
@@ -45,11 +47,8 @@ pub struct SessionSpec {
     /// the engine's merged stream are `start_s` + the session-relative
     /// window time.
     pub start_s: f64,
-    /// The sensing mode to run — any registered [`SensingMode`]
-    /// (built-in or downstream-defined), type-erased.
-    ///
-    /// [`SensingMode`]: crate::SensingMode
-    pub mode: ModeRef,
+    /// The sensing mode to run.
+    pub mode: Mode,
     /// Request trace id linking this session's open/step/drain spans to
     /// the client-side open span (0 = untraced). Observability only:
     /// the session's outputs and events are bitwise independent of it.
@@ -58,15 +57,14 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// A spec starting at serving-clock zero. `scene` may be owned or a
-    /// shared handle; `mode` may be a mode value (`Track`) or a
-    /// [`ModeRef`] from a registry.
+    /// shared handle.
     pub fn new(
         id: SessionId,
         scene: impl Into<SceneHandle>,
         config: WiViConfig,
         seed: u64,
         duration_s: f64,
-        mode: impl Into<ModeRef>,
+        mode: Mode,
     ) -> Self {
         Self {
             id,
@@ -75,7 +73,7 @@ impl SessionSpec {
             seed,
             duration_s,
             start_s: 0.0,
-            mode: mode.into(),
+            mode,
             trace: 0,
         }
     }
@@ -101,7 +99,7 @@ impl SessionSpec {
 ///
 /// ```
 /// use wivi_rf::{Material, Scene, SceneStore};
-/// use wivi_serve::{modes::Count, SessionSpec};
+/// use wivi_serve::{Mode, SessionSpec};
 ///
 /// let mut store = SceneStore::new();
 /// let room = store.insert("lab", Scene::new(Material::HollowWall6In));
@@ -110,7 +108,7 @@ impl SessionSpec {
 ///     .seed(42)
 ///     .duration_s(4.0)
 ///     .start_s(1.5)
-///     .mode(Count)
+///     .mode(Mode::Count)
 ///     .build();
 /// assert_eq!(spec.mode.tag(), "count");
 /// ```
@@ -121,7 +119,7 @@ pub struct SessionSpecBuilder {
     seed: u64,
     duration_s: Option<f64>,
     start_s: f64,
-    mode: Option<ModeRef>,
+    mode: Option<Mode>,
     trace: u64,
 }
 
@@ -157,9 +155,9 @@ impl SessionSpecBuilder {
         self
     }
 
-    /// The sensing mode — a mode value or a [`ModeRef`]. Required.
-    pub fn mode(mut self, mode: impl Into<ModeRef>) -> Self {
-        self.mode = Some(mode.into());
+    /// The sensing mode. Required.
+    pub fn mode(mut self, mode: Mode) -> Self {
+        self.mode = Some(mode);
         self
     }
 
@@ -201,7 +199,7 @@ pub struct SessionOutput {
     pub id: SessionId,
     /// The shard that served the session.
     pub shard: usize,
-    /// The tag of the mode the session ran ([`ModeRef::tag`]).
+    /// The tag of the mode the session ran ([`Mode::tag`]).
     pub mode: &'static str,
     pub start_s: f64,
     /// Channel samples requested (`duration_s` at the radio's rate).
@@ -215,13 +213,13 @@ pub struct SessionOutput {
     pub closed_early: bool,
     /// Nulling achieved at session open, dB.
     pub nulling_db: f64,
-    /// The mode's payload — downcast with [`ModeOutput::expect`] to the
-    /// type the mode documents.
-    pub result: ModeOutput,
+    /// The mode's payload. Shared, so cloning the output (the
+    /// completion queue keeps one copy, the report another) is an `Arc`
+    /// bump, not a payload copy.
+    pub result: Arc<ModeOutput>,
     /// The session's tracker events (session-relative times, emission
-    /// order), as returned by the mode's `finalize` — the one event
-    /// path every mode shares; modes without an event stream return
-    /// none. The engine merges these into its unified stream.
+    /// order); empty for modes without an event stream. The engine
+    /// merges these into its unified stream.
     pub events: Vec<TrackEvent>,
     /// Calibration wall-clock at open, seconds.
     pub calibrate_s: f64,
@@ -230,13 +228,13 @@ pub struct SessionOutput {
 }
 
 /// A session being served by a shard: the device plus the mode's
-/// type-erased streaming state.
+/// streaming state.
 pub(crate) struct ActiveSession {
     pub(crate) id: SessionId,
-    mode: ModeRef,
+    mode: Mode,
     start_s: f64,
     dev: WiViDevice,
-    state: Box<dyn ErasedState>,
+    state: ModeState,
     n_requested: usize,
     remaining: usize,
     nulling_db: f64,
@@ -299,7 +297,7 @@ impl ActiveSession {
         let nulling_db = dev.calibrate().nulling_db();
         let calibrate_s = t0.elapsed().as_secs_f64();
         let eff = *dev.config();
-        let state = mode.open_state(&dev, &eff);
+        let state = ModeState::open(mode, &dev, &eff);
         let n_requested = dev.trace_len(duration_s);
         Self {
             id,
@@ -325,11 +323,11 @@ impl ActiveSession {
     }
 
     /// Advances the session by one batch of at most `batch_len` samples,
-    /// borrowing the shard's engine cache for the per-window compute.
-    /// `scratch` is the shard's reused sample buffer.
+    /// borrowing the worker's engine pool for the per-window compute.
+    /// `scratch` is the worker's reused sample buffer.
     pub(crate) fn step(
         &mut self,
-        engines: &mut EngineCache,
+        engines: &mut EnginePool,
         batch_len: usize,
         scratch: &mut Vec<Complex64>,
     ) {
@@ -350,7 +348,7 @@ impl ActiveSession {
         let n_samples = self.n_requested - self.remaining;
         let closed_early = self.remaining > 0;
         let n_columns = self.state.columns();
-        let (result, events) = self.state.finalize();
+        let (result, events) = self.state.finish();
         SessionOutput {
             id: self.id,
             shard,
@@ -361,7 +359,7 @@ impl ActiveSession {
             n_columns,
             closed_early,
             nulling_db: self.nulling_db,
-            result,
+            result: Arc::new(result),
             events,
             calibrate_s: self.calibrate_s,
             stream_s: self.stream_s,

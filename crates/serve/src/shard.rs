@@ -13,29 +13,28 @@
 //! With `workers_per_shard > 1` (see [`crate::ServeConfig`]) the shard
 //! becomes a coordinator: each round it round-robin partitions the
 //! id-sorted live sessions across that many scoped worker threads, each
-//! owning a private engine cache and scratch. Outputs stay bit-identical
+//! owning a private engine pool and scratch. Outputs stay bit-identical
 //! for every worker count — parallelism only changes wall-clock.
 //!
 //! The PR-1 zero-allocation design extends here from per-device to
 //! per-shard: all sessions on a shard that share a configuration share
 //! one resident engine — one steering table, one correlation matrix,
 //! one eigendecomposition workspace — borrowed per batch by each
-//! session's mode state. The engines live in the shard's keyed
-//! [`EngineCache`], a registry open to any
-//! engine type (see [`wivi_core::ShardEngine`]): a shard serving N
-//! same-config sessions holds one engine, not N, and a downstream
-//! sensing mode's engines are hosted exactly like the built-ins'.
+//! session's mode state. The engines live in each worker's
+//! configuration-keyed engine pool (one list each of MUSIC, beamforming
+//! and imaging engines): a shard serving N same-config sessions holds
+//! one engine, not N.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use wivi_core::EngineCache;
 use wivi_num::Complex64;
 use wivi_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, WindowedCounter, WindowedHistogram,
 };
 
+use crate::mode::EnginePool;
 use crate::session::{ActiveSession, SessionId, SessionOutput, SessionSpec};
 
 /// A command routed to a shard.
@@ -395,10 +394,10 @@ impl SloSummary {
     }
 }
 
-/// One worker thread's private compute state: its own engine cache and
+/// One worker thread's private compute state: its own engine pool and
 /// per-batch scratch, so workers of one shard share no mutable state.
 struct WorkerState {
-    engines: EngineCache,
+    engines: EnginePool,
     scratch: Vec<Complex64>,
 }
 
@@ -421,7 +420,7 @@ pub(crate) fn run_shard(
     let started = Instant::now();
     let mut worker_states: Vec<WorkerState> = (0..workers)
         .map(|_| WorkerState {
-            engines: EngineCache::new(),
+            engines: EnginePool::default(),
             scratch: Vec::with_capacity(batch_len),
         })
         .collect();
@@ -480,7 +479,7 @@ pub(crate) fn run_shard(
             // advances sessions at positions w, w + workers, ... —
             // stable while the active prefix is stable, so a session
             // usually keeps hitting the same worker's warm engine
-            // cache. Workers record telemetry straight into the shared
+            // pool. Workers record telemetry straight into the shared
             // metric cells; histogram merging is order-invariant by
             // construction, so telemetry stays schedule-independent
             // without the old end-of-round merge in worker order.

@@ -11,7 +11,7 @@ use wivi::prelude::*;
 use wivi::rf::{SceneHandle, SceneStore};
 use wivi_num::Rng64;
 
-/// Sessions in the fleet (≥ one full cycle of the built-in modes).
+/// Sessions in the fleet (≥ one full cycle of the modes).
 const N: usize = 6;
 const DUR: f64 = 2.0;
 

@@ -9,10 +9,7 @@
 mod common;
 
 use common::*;
-use wivi::core::gesture::GestureDecode;
-use wivi::core::AngleSpectrogram;
 use wivi::prelude::*;
-use wivi::track::TrackingReport;
 
 #[test]
 fn served_sessions_equal_standalone_across_shard_counts() {
@@ -62,20 +59,14 @@ fn served_tracking_sessions_produce_nonempty_reports() {
     let mut saw_frames = false;
     for out in &report.outputs {
         assert!(out.n_columns > 0, "session {} made no columns", out.id);
-        match out.result.tag() {
-            "track_targets" => {
-                saw_tracks |= !out.result.expect::<TrackingReport>().tracks.is_empty();
-            }
-            "count" => saw_variance |= out.result.expect::<Option<f64>>().is_some(),
-            "track" => {
-                saw_columns |= out.result.expect::<Option<AngleSpectrogram>>().is_some();
-            }
-            "gestures" => {
-                let d = out.result.expect::<Option<GestureDecode>>();
+        match &*out.result {
+            ModeOutput::TrackTargets(r) => saw_tracks |= !r.tracks.is_empty(),
+            ModeOutput::Count(mean) => saw_variance |= mean.is_some(),
+            ModeOutput::Track(spec) => saw_columns |= spec.is_some(),
+            ModeOutput::Gestures(d) => {
                 saw_bits |= d.as_ref().is_some_and(|d| !d.bits.is_empty());
             }
-            "image" => saw_frames |= out.result.expect::<ImagingReport>().n_windows() > 0,
-            other => panic!("unexpected mode '{other}'"),
+            ModeOutput::Image(r) => saw_frames |= r.n_windows() > 0,
         }
     }
     assert!(saw_tracks, "no tracking session produced tracks");

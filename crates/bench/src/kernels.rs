@@ -3,7 +3,7 @@
 //!
 //! Each kernel is timed at every dispatch level the running CPU supports
 //! (scalar reference, AVX2, AVX-512), on the buffer sizes the pipeline
-//! actually uses: length-50 Jacobi rows, the 50×50 correlation matrix,
+//! actually uses: length-50 correlation rows, the 50×50 correlation matrix,
 //! the 625-sample imaging aperture, the 64-point OFDM FFT. The levels
 //! are forced through [`wivi_num::simd::set_forced`], so one process
 //! measures all paths; `write_kernels_json` emits `BENCH_kernels.json`
@@ -18,7 +18,7 @@ use wivi_num::rng::Rng64;
 use wivi_num::{simd, CMatrix, Complex64, FftPlan};
 use wivi_obs::export::json_escape;
 
-/// Side of the Jacobi working matrix (the MUSIC subarray dimension).
+/// Side of the eigensolver's matrix (the MUSIC subarray dimension).
 pub const EIG_N: usize = 50;
 /// Imaging aperture length (focus correlation window).
 pub const APERTURE: usize = 625;
@@ -115,11 +115,10 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     let ap_a = cvec(APERTURE, &mut rng);
     let ap_b = cvec(APERTURE, &mut rng);
     let ap_c = cvec(APERTURE, &mut rng);
-    let e = Complex64::cis(0.7);
     let a = Complex64::new(0.3, -1.2);
 
-    // A bit-Hermitian correlation matrix (the mirror fast path) built the
-    // way the pipeline builds one: rank-1 outer-product accumulation.
+    // A full-rank correlation matrix built the way the pipeline builds
+    // one: rank-1 outer-product accumulation.
     let mut corr = CMatrix::zeros(EIG_N, EIG_N);
     for _ in 0..3 * EIG_N {
         let v = cvec(EIG_N, &mut rng);
@@ -157,27 +156,6 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
             simd::caxpy(black_box(&mut acc), black_box(&x), a);
         }
     });
-
-    // Givens rotation of one Jacobi row pair (rotations are unitary, so
-    // repeated application stays bounded).
-    bench(&format!("givens_rotate_{EIG_N}"), 400_000, &mut {
-        let (mut x, mut y) = (row_a.clone(), row_b.clone());
-        move || {
-            simd::givens_rotate(black_box(&mut x), black_box(&mut y), 0.8, 0.6, e);
-        }
-    });
-
-    // The fused Jacobi pivot update on the full working matrix.
-    bench(
-        &format!("rotate_rows_mirror_{EIG_N}x{EIG_N}"),
-        200_000,
-        &mut {
-            let mut m = corr.clone();
-            move || {
-                simd::rotate_rows_mirror(black_box(m.as_mut_slice()), EIG_N, 3, 29, 0.8, 0.6, e);
-            }
-        },
-    );
 
     // One correlation row accumulation.
     bench(&format!("accumulate_outer_row_{EIG_N}"), 400_000, &mut {

@@ -1,23 +1,45 @@
 //! Eigendecomposition of complex Hermitian matrices.
 //!
-//! Smoothed MUSIC (paper §5.2) needs the full eigensystem of the w′×w′
-//! correlation matrix `R = E[h·h^H]` — eigenvalues to split signal from
+//! Smoothed MUSIC (paper §5.2) needs the eigensystem of the w′×w′
+//! correlation matrix `R = E[h·h^H]`: eigenvalues to split signal from
 //! noise subspace, eigenvectors to project steering vectors onto the noise
 //! subspace. The matrices are Hermitian positive semi-definite and small
-//! (w′ = 50 at the paper's parameters), so the classic cyclic Jacobi method
-//! with complex (phase-aware) Givens rotations is the right tool: simple,
-//! unconditionally stable, and accurate to machine precision.
+//! (w′ = 50 at the paper's parameters). The solver is the dense
+//! symmetric route of Golub & Van Loan §8.3 (LAPACK's `zhetrd` +
+//! `zsteqr`), in three allocation-free steps over an [`EigWorkspace`]:
 //!
-//! The rotation for pivot `(p, q)` zeroes `A[p][q] = r·e^{iφ}` with the
-//! unitary
+//! 1. **Householder tridiagonalization.** `n − 2` Hermitian reflectors
+//!    `H_k = I − τ_k·w_k·w_k^H` reduce `A` to a Hermitian tridiagonal
+//!    `T_c = Q^H·A·Q`, `Q = H_0⋯H_{n−3}`. A diagonal unitary
+//!    `D = diag(δ_k)` of unit phases turns the complex off-diagonal
+//!    real and non-negative: `T = D^H·T_c·D`.
+//! 2. **Implicit QL with Wilkinson shifts** on the real symmetric `T`,
+//!    accumulating its plane rotations into `Z` (`T = Z·Λ·Z^T`), stored
+//!    transposed so each rotation touches two contiguous rows. An
+//!    off-diagonal deflates when it is at most `ε·‖A‖_F`. The test is
+//!    relative to the whole matrix on purpose: the local test
+//!    `ε·(|d_m| + |d_{m+1}|)` keeps iterating on the rounding-level
+//!    entries of a rank-deficient matrix's null block and doubles the
+//!    cost on exactly the low-rank inputs MUSIC feeds it.
+//! 3. **Back-transformation** `U = Q·D·Z` through the stored reflectors.
 //!
-//! ```text
-//! V[p,p] =  c          V[p,q] = s·e^{iφ}
-//! V[q,p] = -s·e^{-iφ}  V[q,q] = c
-//! ```
+//! The cost is `O(n³)` with a small constant and, unlike cyclic Jacobi,
+//! no data-dependent sweep count. Eigenvalues are accurate to
+//! `O(ε·‖A‖)` and the eigenvectors are orthonormal to `O(ε)`; the
+//! separation of an eigenvector from the rest of the spectrum bounds
+//! its accuracy as for any backward-stable method.
 //!
-//! where `t = tan θ` solves `t² + 2τt − 1 = 0`, `τ = (A[q,q] − A[p,p])/(2r)`
-//! — the textbook real-Jacobi angle applied to the off-diagonal *magnitude*.
+//! **Bitwise identical at every SIMD level.** The reflector sums and
+//! back-transformation run through the bitwise-pinned
+//! [`simd::caxpy`]; everything else is plain scalar code. Results do
+//! not depend on the dispatch level (never route this through the
+//! reassociating [`simd::cdot`]).
+//!
+//! **Stateless.** Every call is a cold solve. A basis warm-started from
+//! the previous call would converge faster on the overlapping windows
+//! of one MUSIC stream, but a serving shard shares one `MusicEngine`
+//! (and its workspace) across the sessions it interleaves, so a warm
+//! start would make one session's output depend on its neighbours'.
 
 use crate::{simd, CMatrix, Complex64};
 
@@ -53,28 +75,40 @@ impl HermitianEig {
     }
 }
 
-/// Maximum number of full Jacobi sweeps before giving up. Convergence is
-/// quadratic; well-conditioned correlation matrices converge in < 10 sweeps.
-const MAX_SWEEPS: usize = 64;
+/// Implicit-QL iterations allowed per eigenvalue before the solver
+/// declares non-convergence (LAPACK `zsteqr` uses the same budget).
+/// Wilkinson-shifted QL converges cubically; real inputs need one to
+/// three iterations per eigenvalue.
+const MAX_QL_ITERATIONS_PER_VALUE: usize = 30;
 
-/// Reusable scratch for [`hermitian_eig_in`]: the working copy of the
-/// matrix, the accumulated rotations, and the sorted output buffers.
+/// Reusable scratch for [`hermitian_eig_in`]: the reduction's working
+/// matrix and reflectors, the tridiagonal, the QL rotations, and the
+/// sorted output buffers.
 ///
 /// The streaming MUSIC tracker eigendecomposes one `w′ × w′` correlation
-/// matrix per analysis window at the channel rate; allocating five fresh
-/// `O(n²)` buffers per window dominated the allocator profile. A workspace
-/// is created once per tracker and reused for every window with **zero
-/// per-call heap allocation**. Results are bitwise identical to
-/// [`hermitian_eig`] (same sweep order, same rotation arithmetic).
+/// matrix per analysis window at the channel rate. A workspace is
+/// created once per tracker and reused for every window with **zero
+/// per-call heap allocation**. No state carries from one call to the
+/// next: results are bitwise identical to [`hermitian_eig`].
 #[derive(Clone, Debug)]
 pub struct EigWorkspace {
     n: usize,
-    /// Working copy, diagonalized in place.
+    /// Working copy of the matrix; after the reduction, row `k` holds
+    /// the Householder vector `w_k` in its columns `k+1..n`.
     m: CMatrix,
-    /// Accumulated unitary.
-    u: CMatrix,
-    /// Unsorted diagonal.
-    lambdas: Vec<f64>,
+    /// Reflector scales `τ_k` (0 marks an identity reflector).
+    tau: Vec<f64>,
+    /// Unit phases `δ_k` of the diagonal similarity `D`.
+    phase: Vec<Complex64>,
+    /// Tridiagonal diagonal; unsorted eigenvalues after QL.
+    d: Vec<f64>,
+    /// Tridiagonal off-diagonal (`e[k]` couples `k` and `k+1`).
+    e: Vec<f64>,
+    /// `Z^T`, row-major: row `k` is the eigenvector of `T` that QL
+    /// leaves at diagonal position `k`.
+    zt: Vec<f64>,
+    /// Reflector product scratch.
+    p: Vec<Complex64>,
     /// Descending-eigenvalue permutation.
     order: Vec<usize>,
     /// Sorted eigenvalues (the public output).
@@ -89,8 +123,12 @@ impl EigWorkspace {
         Self {
             n,
             m: CMatrix::zeros(n, n),
-            u: CMatrix::zeros(n, n),
-            lambdas: vec![0.0; n],
+            tau: vec![0.0; n],
+            phase: vec![Complex64::ONE; n],
+            d: vec![0.0; n],
+            e: vec![0.0; n],
+            zt: vec![0.0; n * n],
+            p: vec![Complex64::ZERO; n],
             order: (0..n).collect(),
             values: vec![0.0; n],
             vectors: CMatrix::zeros(n, n),
@@ -128,64 +166,59 @@ impl EigWorkspace {
     }
 }
 
-/// Computes the eigendecomposition of a Hermitian matrix by cyclic Jacobi
-/// rotations, reusing `ws` for all scratch and output storage (zero heap
-/// allocation per call). Results land in [`EigWorkspace::values`] /
-/// [`EigWorkspace::vectors`].
+/// Computes the eigendecomposition of a Hermitian matrix (Householder
+/// tridiagonalization, implicit QL, back-transformation — see the
+/// [module docs](self)), reusing `ws` for all scratch and output storage
+/// (zero heap allocation per call). Results land in
+/// [`EigWorkspace::values`] / [`EigWorkspace::vectors`].
 ///
-/// The input is **assumed Hermitian**; only numerical (rounding-level)
-/// deviation is tolerated. Use [`CMatrix::hermitian_deviation`] upstream if
-/// the provenance of the matrix is in doubt.
+/// The input is **assumed Hermitian**: the solver reads its upper
+/// triangle and the real part of its diagonal, and only numerical
+/// (rounding-level) deviation is tolerated. Use
+/// [`CMatrix::hermitian_deviation`] upstream if the provenance of the
+/// matrix is in doubt.
 ///
 /// # Panics
 /// Panics if `a` is not square, if its dimension differs from the
-/// workspace's, or if it deviates from Hermitian symmetry by more than
-/// `1e-8 · (1 + ‖A‖_F)`.
+/// workspace's, if it deviates from Hermitian symmetry by more than
+/// `1e-8 · ‖A‖_F`, or if QL fails to converge (not observed on finite
+/// input).
 pub fn hermitian_eig_in(a: &CMatrix, ws: &mut EigWorkspace) {
     assert!(a.is_square(), "eigendecomposition requires a square matrix");
     let n = a.rows();
     assert_eq!(n, ws.n, "workspace dimension mismatch");
-    let scale = 1.0 + a.frobenius_norm();
+    let norm = a.frobenius_norm();
+    let deviation = a.hermitian_deviation();
     assert!(
-        a.hermitian_deviation() <= 1e-8 * scale,
-        "matrix is not Hermitian (deviation {} vs norm {})",
-        a.hermitian_deviation(),
-        scale
+        deviation <= 1e-8 * norm,
+        "matrix is not Hermitian (deviation {deviation} vs norm {norm})"
     );
-
-    ws.m.copy_from(a);
-    ws.u.set_identity();
-    jacobi_diagonalize(&mut ws.m, &mut ws.u, scale);
-
-    // Extract and sort descending.
-    let m = &ws.m;
-    for (i, l) in ws.lambdas.iter_mut().enumerate() {
-        *l = m[(i, i)].re;
+    if n == 0 {
+        return;
     }
+
+    tridiagonalize(a, ws);
+    let (iterations, rotations) =
+        implicit_ql(&mut ws.d, &mut ws.e, &mut ws.zt, f64::EPSILON * norm);
+    crate::probe::count_eig(iterations, rotations);
+
     for (i, o) in ws.order.iter_mut().enumerate() {
         *o = i;
     }
-    let lambdas = &ws.lambdas;
-    ws.order
-        .sort_by(|&i, &j| lambdas[j].partial_cmp(&lambdas[i]).unwrap());
-    // ws.u holds U transposed (rows are eigenvectors) — see
-    // `jacobi_diagonalize`; eigenvector c is its row order[c].
-    for c in 0..n {
-        ws.values[c] = ws.lambdas[ws.order[c]];
-        let src = ws.u.row(ws.order[c]);
-        for (r, &z) in src.iter().enumerate() {
-            ws.vectors[(r, c)] = z;
-        }
+    let d = &ws.d;
+    ws.order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+    for (v, &o) in ws.values.iter_mut().zip(&ws.order) {
+        *v = ws.d[o];
     }
+    back_transform(ws);
 }
 
-/// Computes the eigendecomposition of a Hermitian matrix by cyclic Jacobi
-/// rotations. Convenience wrapper over [`hermitian_eig_in`] that allocates
-/// a fresh workspace; hot paths should hold an [`EigWorkspace`] instead.
+/// Computes the eigendecomposition of a Hermitian matrix. Convenience
+/// wrapper over [`hermitian_eig_in`] that allocates a fresh workspace;
+/// hot paths should hold an [`EigWorkspace`] instead.
 ///
 /// # Panics
-/// Panics if `a` is not square, or if it deviates from Hermitian symmetry
-/// by more than `1e-8 · (1 + ‖A‖_F)`.
+/// As [`hermitian_eig_in`].
 pub fn hermitian_eig(a: &CMatrix) -> HermitianEig {
     let mut ws = EigWorkspace::new(a.rows());
     hermitian_eig_in(a, &mut ws);
@@ -195,131 +228,192 @@ pub fn hermitian_eig(a: &CMatrix) -> HermitianEig {
     }
 }
 
-/// `true` if the strictly-off-diagonal part of `m` is Hermitian in
-/// *bits*: `m[(c,r)]` is exactly the sign-flipped-imaginary image of
-/// `m[(r,c)]`. Correlation matrices accumulated through
-/// [`CMatrix::add_outer`] have this property exactly (each step writes
-/// literal conjugate pairs); it is what licenses the mirrored fast path
-/// in [`jacobi_diagonalize`].
-fn bit_hermitian_off_diagonal(m: &CMatrix) -> bool {
-    let n = m.rows();
+/// Step 1: reduces `a` to the real tridiagonal `(ws.d, ws.e)`, leaving
+/// the reflectors in `ws.m`/`ws.tau` and the phases in `ws.phase`.
+///
+/// The working copy is made Hermitian in bits (upper triangle mirrored),
+/// and every rank-2 update keeps it so: entry `(j,i)` is computed as the
+/// exact conjugate of entry `(i,j)`. Column `k` below the diagonal can
+/// therefore be read as the conjugate of the contiguous row `k`, and
+/// `A₂₂·w` as a sum of conjugated rows.
+fn tridiagonalize(a: &CMatrix, ws: &mut EigWorkspace) {
+    let n = ws.n;
     for r in 0..n {
+        ws.m[(r, r)] = Complex64::from_re(a[(r, r)].re);
         for c in (r + 1)..n {
-            let a = m[(r, c)];
-            let b = m[(c, r)];
-            if a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != (-b.im).to_bits() {
-                return false;
+            let z = a[(r, c)];
+            ws.m[(r, c)] = z;
+            ws.m[(c, r)] = z.conj();
+        }
+    }
+
+    let mut delta = Complex64::ONE;
+    for k in 0..n - 1 {
+        let (head, tail) = ws.m.as_mut_slice().split_at_mut((k + 1) * n);
+        let row_k = &mut head[k * n..];
+        ws.d[k] = row_k[k].re;
+        ws.phase[k] = delta;
+
+        // x = A[k+1.., k] = conj(A[k, k+1..]); w is built in place.
+        let w = &mut row_k[k + 1..];
+        for z in w.iter_mut() {
+            *z = z.conj();
+        }
+        let x0 = w[0];
+        let abs_x0 = x0.abs();
+        let unit_x0 = if abs_x0 > 0.0 {
+            x0.scale(1.0 / abs_x0)
+        } else {
+            Complex64::ONE
+        };
+        let sigma: f64 = w[1..].iter().map(|z| z.norm_sqr()).sum();
+        if sigma == 0.0 {
+            // Column already reduced: T_c[k+1][k] = x0.
+            ws.tau[k] = 0.0;
+            ws.e[k] = abs_x0;
+            delta *= unit_x0;
+            continue;
+        }
+        // H·x = β·e₁ with β = −(x0/|x0|)·‖x‖, w = x − β·e₁.
+        let norm_x = (abs_x0 * abs_x0 + sigma).sqrt();
+        w[0] = x0 + unit_x0.scale(norm_x);
+        let tau = 1.0 / (norm_x * (norm_x + abs_x0));
+        ws.tau[k] = tau;
+        ws.e[k] = norm_x;
+        delta *= -unit_x0;
+
+        // p = τ·A₂₂·w, accumulated conjugated: conj(p) = τ·Σ_j conj(w_j)·A₂₂[j, :].
+        let p = &mut ws.p[..n - k - 1];
+        p.fill(Complex64::ZERO);
+        for (j, &wj) in w.iter().enumerate() {
+            simd::caxpy(p, &tail[j * n + k + 1..(j + 1) * n], wj.conj());
+        }
+        // q = p − (τ/2)·(w^H·p)·w, held in p.
+        let mut whp = 0.0;
+        for (pj, wj) in p.iter_mut().zip(w.iter()) {
+            *pj = pj.conj().scale(tau);
+            whp += (wj.conj() * *pj).re;
+        }
+        let half = 0.5 * tau * whp;
+        for (pj, wj) in p.iter_mut().zip(w.iter()) {
+            *pj -= wj.scale(half);
+        }
+        // A₂₂ ← A₂₂ − w·q^H − q·w^H.
+        for (i, (&wi, &qi)) in w.iter().zip(p.iter()).enumerate() {
+            let row = &mut tail[i * n + k + 1..(i + 1) * n];
+            for ((z, &wj), &qj) in row.iter_mut().zip(w.iter()).zip(p.iter()) {
+                *z -= wi * qj.conj() + qi * wj.conj();
             }
         }
     }
-    true
+    ws.d[n - 1] = ws.m[(n - 1, n - 1)].re;
+    ws.e[n - 1] = 0.0;
+    ws.phase[n - 1] = delta;
 }
 
-/// The cyclic-Jacobi sweep loop shared by the planned and unplanned entry
-/// points: diagonalizes `m` in place, accumulating rotations into `ut` —
-/// the **transpose** of the unitary (row `i` of `ut` is eigenvector `i`),
-/// so the rotation touches two contiguous rows instead of two strided
-/// columns. Per-element arithmetic is unchanged; only the layout is.
-///
-/// Every update funnels through the bitwise-pinned kernels in
-/// [`wivi_num::simd`](crate::simd), so results are identical on every
-/// dispatch level. When the input is Hermitian in bits (the correlation
-/// path always is), the column half of each rotation is not recomputed
-/// but *mirrored* from the freshly rotated rows: for `k ∉ {p,q}` the
-/// scalar column update `akp·c − (e⁻·akq)·s` is the exact conjugate of
-/// the row update `apk·c − (e⁺·aqk)·s` — conjugation distributes
-/// bitwise over IEEE multiply/add/subtract — so writing
-/// `conj(m[(p,k)])` reproduces the textbook loop's bits while keeping
-/// all arithmetic on contiguous rows. Inputs that are only
-/// approximately Hermitian take the direct strided-column path instead.
-fn jacobi_diagonalize(m: &mut CMatrix, ut: &mut CMatrix, scale: f64) {
-    let n = m.rows();
+/// Step 2: implicit Wilkinson-shift QL on the symmetric tridiagonal
+/// `(d, e)` (`e[k]` couples `k` and `k+1`), deflating an off-diagonal
+/// once `|e[k]| ≤ tol`. On return `d` holds the eigenvalues (unsorted)
+/// and row `k` of `zt` the eigenvector for `d[k]`. Returns the QL
+/// iterations and plane rotations performed.
+fn implicit_ql(d: &mut [f64], e: &mut [f64], zt: &mut [f64], tol: f64) -> (u64, u64) {
+    let n = d.len();
+    zt.fill(0.0);
+    for i in 0..n {
+        zt[i * n + i] = 1.0;
+    }
+    let (mut iterations, mut rotations) = (0u64, 0u64);
+    for l in 0..n {
+        let mut iterations_l = 0;
+        loop {
+            let mut m = l;
+            while m + 1 < n && e[m].abs() > tol {
+                m += 1;
+            }
+            if m == l {
+                break;
+            }
+            iterations_l += 1;
+            assert!(
+                iterations_l <= MAX_QL_ITERATIONS_PER_VALUE,
+                "implicit QL did not converge"
+            );
+            iterations += 1;
 
-    // Absolute threshold under which an off-diagonal entry counts as zero.
-    let tol = 1e-14 * scale;
-    let mirror = bit_hermitian_off_diagonal(m);
-
-    // Probe counts aggregate in locals and flush once per solve — the
-    // pivot body is ~100 ns, far too hot for per-call counting.
-    let mut sweeps = 0u64;
-    let mut rotations = 0u64;
-
-    for _sweep in 0..MAX_SWEEPS {
-        if m.off_diagonal_energy().sqrt() <= tol * n as f64 {
-            break;
-        }
-        sweeps += 1;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                let r = apq.abs();
-                if r <= tol {
-                    continue;
+            // Wilkinson shift from the leading 2×2 block of the unreduced
+            // segment l..=m, folded into the first rotation's g.
+            let g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            let r = g.hypot(1.0);
+            let mut g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r } else { -r });
+            let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
+            let mut underflow = false;
+            for i in (l..m).rev() {
+                let f = s * e[i];
+                let b = c * e[i];
+                let r = f.hypot(g);
+                e[i + 1] = r;
+                if r == 0.0 {
+                    // The chase underflowed: deflate here and restart.
+                    d[i + 1] -= p;
+                    e[m] = 0.0;
+                    underflow = true;
+                    break;
                 }
-                let phi = apq.arg();
-                let alpha = m[(p, p)].re;
-                let beta = m[(q, q)].re;
-
-                // Stable tangent of the rotation angle.
-                let tau = (beta - alpha) / (2.0 * r);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-
-                let e_pos = Complex64::cis(phi); //  e^{+iφ}
-                let e_neg = e_pos.conj(); //          e^{-iφ}
-
-                // A ← A·V   (columns p and q):
-                //   m[(k,p)] = akp·c − (e⁻·akq)·s
-                //   m[(k,q)] = (e⁺·akp)·s + akq·c
-                if mirror {
-                    // Only the 2×2 pivot block needs the column update
-                    // computed directly (the row update below reads it);
-                    // every other column entry is mirrored from the
-                    // freshly rotated rows.
-                    let app = m[(p, p)];
-                    let apq2 = m[(p, q)];
-                    let aqp = m[(q, p)];
-                    let aqq = m[(q, q)];
-                    m[(p, p)] = app.scale(c) - (e_neg * apq2).scale(s);
-                    m[(p, q)] = (e_pos * app).scale(s) + apq2.scale(c);
-                    m[(q, p)] = aqp.scale(c) - (e_neg * aqq).scale(s);
-                    m[(q, q)] = (e_pos * aqp).scale(s) + aqq.scale(c);
-                    // A ← V^H·A rows plus the conjugate column images
-                    // outside the pivot block, fused into one pass
-                    // (bitwise equal to the direct column update — see
-                    // the function docs).
-                    simd::rotate_rows_mirror(m.as_mut_slice(), n, p, q, c, s, e_pos);
-                } else {
-                    simd::givens_rotate_cols(m.as_mut_slice(), n, p, q, c, s, e_neg);
-                    // A ← V^H·A  (rows p and q):
-                    //   m[(p,k)] = apk·c − (e⁺·aqk)·s
-                    //   m[(q,k)] = (e⁻·apk)·s + aqk·c
-                    let (row_p, row_q) = m.row_pair_mut(p, q);
-                    simd::givens_rotate(row_p, row_q, c, s, e_pos);
+                s = f / r;
+                c = g / r;
+                let g2 = d[i + 1] - p;
+                let r = (d[i] - g2) * s + 2.0 * c * b;
+                p = s * r;
+                d[i + 1] = g2 + p;
+                g = c * r - b;
+                let (lo, hi) = zt.split_at_mut((i + 1) * n);
+                for (zi, zi1) in lo[i * n..].iter_mut().zip(&mut hi[..n]) {
+                    let f = *zi1;
+                    *zi1 = s * *zi + c * f;
+                    *zi = c * *zi - s * f;
                 }
-                // Clamp the now-annihilated pair and enforce real diagonal,
-                // preventing rounding drift from accumulating over sweeps.
-                m[(p, q)] = Complex64::ZERO;
-                m[(q, p)] = Complex64::ZERO;
-                m[(p, p)] = Complex64::from_re(m[(p, p)].re);
-                m[(q, q)] = Complex64::from_re(m[(q, q)].re);
-
-                // U ← U·V — in transposed storage the two columns are the
-                // contiguous rows p and q of ut, same arithmetic:
-                //   ut[(p,k)] = ukp·c − (e⁻·ukq)·s
-                //   ut[(q,k)] = (e⁺·ukp)·s + ukq·c
-                let (ut_p, ut_q) = ut.row_pair_mut(p, q);
-                simd::givens_rotate(ut_p, ut_q, c, s, e_neg);
                 rotations += 1;
             }
+            if underflow {
+                continue;
+            }
+            d[l] -= p;
+            e[l] = g;
+            e[m] = 0.0;
         }
     }
-    crate::probe::count_eig(sweeps, rotations);
+    (iterations, rotations)
+}
+
+/// Step 3: writes the sorted eigenvectors `U = Q·D·Z` into
+/// `ws.vectors`: column `c` starts as `D·z_{order[c]}`, then the
+/// reflectors apply last to first, each as two row-contiguous caxpy
+/// passes (`r = w^H·Y`, then `Y −= τ·w·r`).
+fn back_transform(ws: &mut EigWorkspace) {
+    let n = ws.n;
+    let y = ws.vectors.as_mut_slice();
+    for (i, row) in y.chunks_exact_mut(n).enumerate() {
+        let delta = ws.phase[i];
+        for (z, &o) in row.iter_mut().zip(&ws.order) {
+            *z = delta.scale(ws.zt[o * n + i]);
+        }
+    }
+    for k in (0..n - 1).rev() {
+        let tau = ws.tau[k];
+        if tau == 0.0 {
+            continue;
+        }
+        let w = &ws.m.row(k)[k + 1..];
+        let below = &mut y[(k + 1) * n..];
+        let r = &mut ws.p[..];
+        r.fill(Complex64::ZERO);
+        for (&wi, row) in w.iter().zip(below.chunks_exact(n)) {
+            simd::caxpy(r, row, wi.conj());
+        }
+        for (&wi, row) in w.iter().zip(below.chunks_exact_mut(n)) {
+            simd::caxpy(row, r, -wi.scale(tau));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -339,6 +433,26 @@ mod tests {
             }
         }
         a
+    }
+
+    /// Largest `‖A·u_i − λ_i·u_i‖` over all eigenpairs, relative to
+    /// `‖A‖_F`, and `‖U^H·U − I‖_F`.
+    fn residuals(a: &CMatrix, e: &HermitianEig) -> (f64, f64) {
+        let n = a.rows();
+        let mut worst: f64 = 0.0;
+        for i in 0..n {
+            let v = e.vectors.col(i);
+            let av = a.mul_vec(&v);
+            let r: f64 = av
+                .iter()
+                .zip(&v)
+                .map(|(&x, &y)| (x - y.scale(e.values[i])).norm_sqr())
+                .sum();
+            worst = worst.max(r.sqrt());
+        }
+        let gram = &e.vectors.hermitian() * &e.vectors;
+        let orth = (&gram - &CMatrix::identity(n)).frobenius_norm();
+        (worst / a.frobenius_norm().max(f64::MIN_POSITIVE), orth)
     }
 
     #[test]
@@ -395,6 +509,24 @@ mod tests {
     }
 
     #[test]
+    fn one_by_one_and_empty_matrices() {
+        let mut a = CMatrix::zeros(1, 1);
+        a[(0, 0)] = Complex64::from_re(-2.5);
+        let e = hermitian_eig(&a);
+        assert_eq!(e.values, vec![-2.5]);
+        assert_eq!(e.vectors[(0, 0)], Complex64::ONE);
+        let e = hermitian_eig(&CMatrix::zeros(0, 0));
+        assert!(e.values.is_empty());
+    }
+
+    #[test]
+    fn zero_matrix_has_zero_spectrum_and_identity_vectors() {
+        let e = hermitian_eig(&CMatrix::zeros(4, 4));
+        assert_eq!(e.values, vec![0.0; 4]);
+        assert_eq!(e.vectors, CMatrix::identity(4));
+    }
+
+    #[test]
     fn two_by_two_known_eigenvalues() {
         // [[2, i], [-i, 2]] has eigenvalues 3 and 1.
         let mut a = CMatrix::zeros(2, 2);
@@ -408,40 +540,56 @@ mod tests {
     }
 
     #[test]
-    fn reconstruction_matches_input() {
-        for seed in 0..5 {
-            let a = random_hermitian(8, seed);
+    fn three_by_three_known_eigenvalues() {
+        // Tridiagonal Toeplitz [1 on the off-diagonals, 0 on the
+        // diagonal] has eigenvalues 2·cos(kπ/4): √2, 0, −√2. A complex
+        // unit phase on the off-diagonal pair leaves them unchanged.
+        let mut a = CMatrix::zeros(3, 3);
+        let ph = Complex64::cis(0.7);
+        a[(0, 1)] = ph;
+        a[(1, 0)] = ph.conj();
+        a[(1, 2)] = Complex64::ONE;
+        a[(2, 1)] = Complex64::ONE;
+        let e = hermitian_eig(&a);
+        let s2 = 2f64.sqrt();
+        for (got, want) in e.values.iter().zip([s2, 0.0, -s2]) {
+            assert!((got - want).abs() < 1e-14, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn eigenpairs_satisfy_definition_and_are_orthonormal() {
+        for n in [2usize, 3, 4, 7] {
+            let a = random_hermitian(n, 40 + n as u64);
             let e = hermitian_eig(&a);
-            let r = e.reconstruct();
-            let err = (&r - &a).frobenius_norm();
-            assert!(
-                err < 1e-10 * (1.0 + a.frobenius_norm()),
-                "seed {seed}: err {err}"
-            );
+            let (res, orth) = residuals(&a, &e);
+            assert!(res < 1e-13, "n={n}: ‖Av−λv‖/‖A‖ = {res}");
+            assert!(orth < 1e-13, "n={n}: ‖UᴴU−I‖ = {orth}");
+            let rec = (&e.reconstruct() - &a).frobenius_norm();
+            assert!(rec < 1e-13 * a.frobenius_norm(), "n={n}: err {rec}");
+            assert!(e.values.windows(2).all(|v| v[0] >= v[1]), "not descending");
         }
     }
 
     #[test]
-    fn eigenvectors_satisfy_definition() {
-        let a = random_hermitian(6, 42);
-        let e = hermitian_eig(&a);
-        for i in 0..6 {
-            let v = e.vectors.col(i);
-            let av = a.mul_vec(&v);
-            for k in 0..6 {
-                let expect = v[k].scale(e.values[i]);
-                assert!((av[k] - expect).abs() < 1e-9, "A·v != λ·v at ({i},{k})");
-            }
+    fn accuracy_is_relative_to_the_matrix_norm() {
+        // A pipeline correlation matrix has ‖A‖_F between 1e-9 and 1e-5;
+        // the same matrix scaled down must solve to the same relative
+        // accuracy, not to an absolute floor.
+        let a = random_hermitian(6, 5);
+        let mut small = a.clone();
+        small.scale_mut(1e-8);
+        let (res, orth) = residuals(&a, &hermitian_eig(&a));
+        let (res_s, orth_s) = residuals(&small, &hermitian_eig(&small));
+        for (what, r) in [("unit", res), ("1e-8", res_s)] {
+            assert!(r < 1e-13, "{what}: relative residual {r}");
         }
-    }
-
-    #[test]
-    fn eigenvectors_are_orthonormal() {
-        let a = random_hermitian(7, 7);
+        assert!(orth < 1e-13 && orth_s < 1e-13, "{orth} {orth_s}");
         let e = hermitian_eig(&a);
-        let gram = &e.vectors.hermitian() * &e.vectors;
-        let dev = (&gram - &CMatrix::identity(7)).frobenius_norm();
-        assert!(dev < 1e-10, "U^H·U deviates from I by {dev}");
+        let es = hermitian_eig(&small);
+        for (x, y) in e.values.iter().zip(&es.values) {
+            assert!((x * 1e-8 - y).abs() <= 1e-13 * small.frobenius_norm());
+        }
     }
 
     #[test]
@@ -481,6 +629,17 @@ mod tests {
         let mut a = CMatrix::zeros(2, 2);
         a[(0, 1)] = Complex64::ONE;
         // a[(1,0)] left at zero: not Hermitian.
+        let _ = hermitian_eig(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "not Hermitian")]
+    fn rejects_a_defect_that_is_small_only_in_absolute_terms() {
+        // At pipeline scale a 1e-10 asymmetry is a tenth of the whole
+        // matrix; an absolute threshold would wave it through.
+        let mut a = random_hermitian(4, 9);
+        a.scale_mut(1e-9);
+        a[(0, 1)] += Complex64::new(1e-10, 0.0);
         let _ = hermitian_eig(&a);
     }
 

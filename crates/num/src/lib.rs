@@ -10,8 +10,8 @@
 //! * [`Complex64`] — complex double-precision arithmetic ([`complex`]).
 //! * [`fft`] — iterative radix-2 FFT/IFFT used by the OFDM PHY.
 //! * [`CMatrix`] and [`eig::hermitian_eig`] — dense complex matrices and a
-//!   cyclic-Jacobi Hermitian eigensolver, the core of MUSIC ([`matrix`],
-//!   [`eig`]).
+//!   Hermitian eigensolver (Householder tridiagonalization + implicit QL),
+//!   the core of MUSIC ([`matrix`], [`eig`]).
 //! * [`rng`] — the deterministic in-house [`rng::Rng64`] generator with
 //!   Box–Muller normal and circularly-symmetric complex Gaussian sampling.
 //! * [`assign`] — exact small-N minimum-cost assignment (the
@@ -24,14 +24,14 @@
 //!   cell-averaging CFAR detector of the 2-D imaging pipeline.
 //! * [`stats`] — means, variances, percentiles, empirical CDFs and the
 //!   dB conversions used throughout the evaluation harness.
-//! * [`simd`] — runtime-dispatched AVX2 kernels for the complex inner
-//!   loops (Givens rotations, butterflies, axpy, backprojection focus),
+//! * [`simd`] — runtime-dispatched AVX2/AVX-512 kernels for the complex
+//!   inner loops (correlation rows, butterflies, axpy, backprojection focus),
 //!   bitwise-pinned to their scalar references (DESIGN.md §12).
 //! * [`par`] — the order-preserving, thread-count-invariant parallel
 //!   map the bench runner, imaging sweep, and serving shards share.
 //! * [`probe`] — the `WIVI_OBS` observability switch plus single-writer
-//!   per-thread kernel counters (SIMD dispatch levels, eig sweeps, FFT
-//!   plan hits) that the `wivi-obs` registry exports (DESIGN.md §13).
+//!   per-thread kernel counters (SIMD dispatch levels, eigensolver QL
+//!   iterations, FFT plan hits) that the `wivi-obs` registry exports (DESIGN.md §13).
 
 pub mod assign;
 pub mod cfar;

@@ -83,7 +83,7 @@ impl CMatrix {
     }
 
     /// Mutable borrow of the underlying row-major storage (for kernels
-    /// that operate on strided columns in place).
+    /// that work on several rows in place).
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
         &mut self.data
@@ -93,19 +93,6 @@ impl CMatrix {
     #[inline]
     pub fn row(&self, r: usize) -> &[Complex64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable borrows of two distinct rows at once (the row update of a
-    /// Givens rotation needs both sides of the pair).
-    ///
-    /// # Panics
-    /// Panics unless `p < q < self.rows()`.
-    #[inline]
-    pub fn row_pair_mut(&mut self, p: usize, q: usize) -> (&mut [Complex64], &mut [Complex64]) {
-        assert!(p < q && q < self.rows, "row pair must satisfy p < q < rows");
-        let cols = self.cols;
-        let (head, tail) = self.data.split_at_mut(q * cols);
-        (&mut head[p * cols..(p + 1) * cols], &mut tail[..cols])
     }
 
     /// Conjugate (Hermitian) transpose `A^H`.
@@ -152,20 +139,6 @@ impl CMatrix {
     /// Frobenius norm `‖A‖_F`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Sum of squared magnitudes of the strictly off-diagonal entries —
-    /// the quantity the Jacobi eigensolver drives to zero.
-    pub fn off_diagonal_energy(&self) -> f64 {
-        let mut s = 0.0;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if r != c {
-                    s += self[(r, c)].norm_sqr();
-                }
-            }
-        }
-        s
     }
 
     /// Largest deviation from Hermitian symmetry, `max |A[r,c] − conj(A[c,r])|`.
@@ -338,16 +311,6 @@ mod tests {
             assert!(r[(i, i)].im.abs() < 1e-14);
             assert!(r[(i, i)].re >= 0.0);
         }
-    }
-
-    #[test]
-    fn off_diagonal_energy_of_diagonal_matrix_is_zero() {
-        let mut d = CMatrix::zeros(4, 4);
-        for i in 0..4 {
-            d[(i, i)] = c(i as f64, 0.0);
-        }
-        assert_eq!(d.off_diagonal_energy(), 0.0);
-        assert!(d.frobenius_norm() > 0.0);
     }
 
     #[test]

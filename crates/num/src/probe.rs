@@ -5,7 +5,8 @@
 //! `WIVI_OBS` toggle, a stable small integer per thread
 //! ([`thread_slot`], which the obs crate also uses to stripe its metric
 //! cells), and the hot-kernel profiling counters — SIMD dispatch-level
-//! call counts, eigensolver sweep counts, FFT plan builds and runs.
+//! call counts, eigensolver QL-iteration counts, FFT plan builds and
+//! runs.
 //!
 //! **Overhead contract.** The whole module is built so that
 //! observability costs nothing measurable:
@@ -16,8 +17,8 @@
 //!   cell block and bumps it with a relaxed load + store (no `lock`
 //!   prefix, no sharing). Readers sum the blocks — counts are exact
 //!   because every cell has exactly one writer.
-//! * The sub-100 ns kernels (Givens rotations, the fused Jacobi pivot,
-//!   per-row axpy) are **never** counted per call: their callers
+//! * The sub-100 ns kernels (the eigensolver's plane rotations, per-row
+//!   axpy) are **never** counted per call: their callers
 //!   aggregate locally in registers and flush one [`count_kernel`] per
 //!   natural loop boundary (one per eigensolve, one per FFT run, one
 //!   per correlation update). Per-call counting is reserved for kernels
@@ -35,8 +36,10 @@ use std::sync::{Mutex, OnceLock};
 /// mirrors `simd::SimdLevel`'s order).
 pub const N_LEVELS: usize = 3;
 
-/// The per-level kernel-call counters. `Rotations` counts Jacobi pivot
-/// updates (aggregated per eigensolve), `AxpyRows` correlation rows
+/// The per-level kernel-call counters. `Rotations` counts the
+/// eigensolver's implicit-QL plane rotations (aggregated per eigensolve;
+/// plain scalar code at every dispatch level, so always counted at
+/// `scalar`), `AxpyRows` correlation rows
 /// (aggregated per outer-product update), `Butterflies` FFT butterfly
 /// pairs (aggregated per transform), `Caxpy` MUSIC projection axpys
 /// (aggregated per window); `Cdot` and `Focus` are counted per call.
@@ -196,19 +199,18 @@ pub fn count_kernel(kernel: Kernel, n: u64) {
     );
 }
 
-/// Records one eigensolve of `sweeps` Jacobi sweeps applying
-/// `rotations` pivot updates (flushed once per solve by the caller).
+/// Records one eigensolve of `iterations` implicit-QL iterations
+/// applying `rotations` plane rotations (flushed once per solve by the
+/// caller). The rotations are plain scalar code, so they land in the
+/// `scalar` cell whatever the dispatch level.
 #[inline]
-pub fn count_eig(sweeps: u64, rotations: u64) {
+pub fn count_eig(iterations: u64, rotations: u64) {
     if !enabled() {
         return;
     }
     bump(IDX_EIG_CALLS, 1);
-    bump(IDX_EIG_SWEEPS, sweeps);
-    bump(
-        Kernel::Rotations as usize * N_LEVELS + crate::simd::level() as usize,
-        rotations,
-    );
+    bump(IDX_EIG_SWEEPS, iterations);
+    bump(Kernel::Rotations as usize * N_LEVELS, rotations);
 }
 
 /// Records one FFT plan construction.
@@ -256,11 +258,13 @@ pub struct ProbeSnapshot {
     pub butterflies: LevelCounts,
     /// Imaging `focus_accumulate` calls per level.
     pub focus: LevelCounts,
-    /// Jacobi pivot updates per level (aggregated per eigensolve).
+    /// Eigensolver plane rotations (aggregated per eigensolve; always
+    /// in the `scalar` cell, see [`count_eig`]).
     pub rotations: LevelCounts,
     /// Hermitian eigensolves completed.
     pub eig_calls: u64,
-    /// Jacobi sweeps executed across all eigensolves.
+    /// Implicit-QL iterations executed across all eigensolves (the
+    /// field keeps its historical name).
     pub eig_sweeps: u64,
     /// FFT plans constructed.
     pub fft_plans: u64,

@@ -1,10 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the complex hot loops.
 //!
-//! The whole pipeline funnels into a handful of inner loops — the Jacobi
-//! eigensolver's Givens rotations, the correlation outer-product
-//! accumulation, the FFT butterflies, the MUSIC steering projection, and
-//! the imaging focus sweep. This module vectorizes exactly those, with a
-//! dispatch contract the golden-trace suite depends on:
+//! The whole pipeline funnels into a handful of inner loops — the
+//! correlation outer-product accumulation, the FFT butterflies, the
+//! MUSIC steering projection (also the eigensolver's reflector and
+//! back-transformation sums), and the imaging focus sweep. This module
+//! vectorizes exactly those, with a dispatch contract the golden-trace
+//! suite depends on:
 //!
 //! **Bitwise pinning.** Every kernel in this module except [`cdot`]
 //! produces output *bit-identical* to its `*_scalar` reference on every
@@ -165,236 +166,12 @@ pub fn fma_supported() -> bool {
 }
 
 /// Minimum element count for which the 512-bit paths beat the 256-bit
-/// ones on contiguous kernels (measured with the kernels bench: at the
-/// length-50 Jacobi rows AVX-512 loses ~2× to AVX2 — wider-vector
+/// ones on contiguous kernels (measured with the kernels bench: at
+/// length-50 matrix rows AVX-512 loses ~2× to AVX2 — wider-vector
 /// startup and remainder overhead dominates — while at the 625-element
 /// aperture it wins ~1.4×). Length-dependent *routing* only; every
 /// route is bitwise pinned to the same scalar reference.
 const AVX512_MIN_N: usize = 256;
-
-// ---------------------------------------------------------------------------
-// Givens rotation (the Jacobi eigensolver's inner loop)
-// ---------------------------------------------------------------------------
-
-/// Applies one complex Givens rotation to a pair of equal-length slices,
-/// in place:
-///
-/// ```text
-/// x[k] ← x[k]·c − (e·y[k])·s
-/// y[k] ← (ē·x[k])·s + y[k]·c      (ē = conj(e), x[k] the original value)
-/// ```
-///
-/// This is both the row update (`A ← V^H·A`, `e = e^{+iφ}`) and — via
-/// [`givens_rotate_cols`] on strided columns — the column updates
-/// (`A ← A·V`, `U ← U·V`, `e = e^{−iφ}`) of the Jacobi sweep. Bitwise
-/// pinned to [`givens_rotate_scalar`].
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn givens_rotate(x: &mut [Complex64], y: &mut [Complex64], c: f64, s: f64, e: Complex64) {
-    assert_eq!(x.len(), y.len(), "rotation pair length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 if x.len() >= AVX512_MIN_N => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx512::givens_rotate(x, y, c, s, e) };
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx2::givens_rotate(x, y, c, s, e) };
-        }
-        SimdLevel::Scalar => {}
-    }
-    givens_rotate_scalar(x, y, c, s, e);
-}
-
-/// Scalar reference for [`givens_rotate`].
-pub fn givens_rotate_scalar(
-    x: &mut [Complex64],
-    y: &mut [Complex64],
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    assert_eq!(x.len(), y.len(), "rotation pair length mismatch");
-    let ec = e.conj();
-    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
-        let x0 = *xk;
-        let y0 = *yk;
-        *xk = x0.scale(c) - (e * y0).scale(s);
-        *yk = (ec * x0).scale(s) + y0.scale(c);
-    }
-}
-
-/// [`givens_rotate`] over the two strided columns `p` and `q` of a
-/// row-major `rows × stride` buffer: rotates the element pairs
-/// `(data[k·stride + p], data[k·stride + q])` for `k = 0..rows`.
-/// Bitwise pinned to the scalar reference.
-///
-/// # Panics
-/// Panics if the buffer is not `rows·stride` long or a column index is
-/// out of range.
-pub fn givens_rotate_cols(
-    data: &mut [Complex64],
-    stride: usize,
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    assert!(
-        stride > 0 && data.len().is_multiple_of(stride),
-        "ragged buffer"
-    );
-    assert!(p < stride && q < stride && p != q, "bad column pair");
-    // The strided gathers don't widen profitably to 512 bits, so the
-    // AVX-512 level reuses the 256-bit path.
-    #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 | SimdLevel::Avx2 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx2::givens_rotate_cols(data, stride, p, q, c, s, e) };
-        }
-        SimdLevel::Scalar => {}
-    }
-    givens_rotate_cols_scalar(data, stride, p, q, c, s, e);
-}
-
-/// Scalar reference for [`givens_rotate_cols`].
-pub fn givens_rotate_cols_scalar(
-    data: &mut [Complex64],
-    stride: usize,
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    let ec = e.conj();
-    let rows = data.len() / stride;
-    for k in 0..rows {
-        let base = k * stride;
-        let x0 = data[base + p];
-        let y0 = data[base + q];
-        data[base + p] = x0.scale(c) - (e * y0).scale(s);
-        data[base + q] = (ec * x0).scale(s) + y0.scale(c);
-    }
-}
-
-/// Hermitian mirror of one rotated row pair of a square row-major
-/// matrix: writes `data[k·stride + p] = conj(data[p·stride + k])` and
-/// `data[k·stride + q] = conj(data[q·stride + k])` for every `k`
-/// outside `{p, q}`. Conjugation is exact (a sign-bit flip), so this
-/// reproduces the bits a direct column rotation of a bit-Hermitian
-/// matrix would produce — see [`crate::eig`]. Pure data movement, no
-/// dispatch: one tight branch-free pass per column.
-///
-/// # Panics
-/// Panics unless the buffer is square (`stride × stride`) and
-/// `p != q` are in range.
-pub fn conj_mirror_cols(data: &mut [Complex64], stride: usize, p: usize, q: usize) {
-    assert!(
-        stride > 0 && data.len() == stride * stride,
-        "mirror requires a square buffer"
-    );
-    assert!(p < stride && q < stride && p != q, "bad column pair");
-    let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-    // SAFETY: all offsets are `k·stride + c` with `k, c < stride`, in
-    // bounds by the asserts above. The reads come from rows p and q and
-    // the writes go to rows k ∉ {p, q}, so no write clobbers a pending
-    // read.
-    unsafe {
-        let base = data.as_mut_ptr();
-        let row_p = base.add(p * stride) as *const Complex64;
-        let row_q = base.add(q * stride) as *const Complex64;
-        let mirror_range = |from: usize, to: usize| {
-            for k in from..to {
-                *base.add(k * stride + p) = (*row_p.add(k)).conj();
-                *base.add(k * stride + q) = (*row_q.add(k)).conj();
-            }
-        };
-        mirror_range(0, lo);
-        mirror_range(lo + 1, hi);
-        mirror_range(hi + 1, stride);
-    }
-}
-
-/// Fused Jacobi pivot update for a bit-Hermitian square matrix: applies
-/// the row rotation [`givens_rotate`] to rows `p` and `q` (`e` is the
-/// row-update phase `e^{+iφ}`), then mirrors the rotated rows into
-/// columns `p` and `q` as in [`conj_mirror_cols`] — one pass, one
-/// dispatch per pivot.
-///
-/// The mirror **skips** `k ∈ {p, q}`: mirroring `k = p` mid-pass would
-/// overwrite `data[p·stride + q]` (= `conj` of the rotated `row_q[p]`)
-/// before the rotation of index `q` reads the original value, changing
-/// the result. The caller clamps the four `{p, q} × {p, q}` entries
-/// afterwards exactly as it would after the unfused sequence.
-///
-/// Bitwise pinned to [`rotate_rows_mirror_scalar`] (the mirror is pure
-/// sign-bit data movement of final rotated values, so fusing does not
-/// change any arithmetic).
-///
-/// # Panics
-/// Panics unless the buffer is square (`stride × stride`) and
-/// `p < q < stride`.
-pub fn rotate_rows_mirror(
-    data: &mut [Complex64],
-    stride: usize,
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    assert!(
-        stride > 0 && data.len() == stride * stride,
-        "mirror requires a square buffer"
-    );
-    assert!(p < q && q < stride, "row pair must satisfy p < q < stride");
-    #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx512::rotate_rows_mirror(data, stride, p, q, c, s, e) };
-        }
-        // SAFETY: level() reports this tier only after runtime CPU
-        // detection confirmed the kernel's target features.
-        SimdLevel::Avx2 => return unsafe { avx2::rotate_rows_mirror(data, stride, p, q, c, s, e) },
-        SimdLevel::Scalar => {}
-    }
-    rotate_rows_mirror_scalar(data, stride, p, q, c, s, e);
-}
-
-/// Scalar reference for [`rotate_rows_mirror`]: the unfused
-/// rotate-then-mirror sequence.
-pub fn rotate_rows_mirror_scalar(
-    data: &mut [Complex64],
-    stride: usize,
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    assert!(
-        stride > 0 && data.len() == stride * stride,
-        "mirror requires a square buffer"
-    );
-    assert!(p < q && q < stride, "row pair must satisfy p < q < stride");
-    {
-        let (head, tail) = data.split_at_mut(q * stride);
-        let row_p = &mut head[p * stride..(p + 1) * stride];
-        let row_q = &mut tail[..stride];
-        givens_rotate_scalar(row_p, row_q, c, s, e);
-    }
-    conj_mirror_cols(data, stride, p, q);
-}
 
 // ---------------------------------------------------------------------------
 // caxpy (the MUSIC steering projection)
@@ -657,163 +434,6 @@ mod avx2 {
     // the argument slices: the vector body covers whole pairs of
     // complexes and the odd tail is handled separately.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn givens_rotate(
-        x: &mut [Complex64],
-        y: &mut [Complex64],
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let n = x.len();
-        let cv = _mm256_set1_pd(c);
-        let sv = _mm256_set1_pd(s);
-        let ev = broadcast(e);
-        let ecv = broadcast(e.conj());
-        let xp = x.as_mut_ptr() as *mut f64;
-        let yp = y.as_mut_ptr() as *mut f64;
-        let pairs = n / 2;
-        for k in 0..pairs {
-            let xv = _mm256_loadu_pd(xp.add(4 * k));
-            let yv = _mm256_loadu_pd(yp.add(4 * k));
-            let m = cmul(yv, ev); //  e·y
-            let w = cmul(xv, ecv); // ē·x
-            let xn = _mm256_sub_pd(_mm256_mul_pd(xv, cv), _mm256_mul_pd(m, sv));
-            let yn = _mm256_add_pd(_mm256_mul_pd(w, sv), _mm256_mul_pd(yv, cv));
-            _mm256_storeu_pd(xp.add(4 * k), xn);
-            _mm256_storeu_pd(yp.add(4 * k), yn);
-        }
-        if n % 2 == 1 {
-            super::givens_rotate_scalar(&mut x[n - 1..], &mut y[n - 1..], c, s, e);
-        }
-    }
-
-    // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the vector body covers whole pairs of
-    // complexes and the odd tail is handled separately.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn givens_rotate_cols(
-        data: &mut [Complex64],
-        stride: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let rows = data.len() / stride;
-        let cv = _mm256_set1_pd(c);
-        let sv = _mm256_set1_pd(s);
-        let ev = broadcast(e);
-        let ecv = broadcast(e.conj());
-        let base = data.as_mut_ptr() as *mut f64;
-        let mut k = 0;
-        // Two rows per iteration: gather the strided (k, k+1) column
-        // elements into full ymm registers, rotate, scatter back.
-        while k + 2 <= rows {
-            let p0 = base.add(2 * (k * stride + p));
-            let p1 = base.add(2 * ((k + 1) * stride + p));
-            let q0 = base.add(2 * (k * stride + q));
-            let q1 = base.add(2 * ((k + 1) * stride + q));
-            let xv = _mm256_set_m128d(_mm_loadu_pd(p1), _mm_loadu_pd(p0));
-            let yv = _mm256_set_m128d(_mm_loadu_pd(q1), _mm_loadu_pd(q0));
-            let m = cmul(yv, ev);
-            let w = cmul(xv, ecv);
-            let xn = _mm256_sub_pd(_mm256_mul_pd(xv, cv), _mm256_mul_pd(m, sv));
-            let yn = _mm256_add_pd(_mm256_mul_pd(w, sv), _mm256_mul_pd(yv, cv));
-            _mm_storeu_pd(p0, _mm256_castpd256_pd128(xn));
-            _mm_storeu_pd(p1, _mm256_extractf128_pd(xn, 1));
-            _mm_storeu_pd(q0, _mm256_castpd256_pd128(yn));
-            _mm_storeu_pd(q1, _mm256_extractf128_pd(yn, 1));
-            k += 2;
-        }
-        if k < rows {
-            let b = k * stride;
-            let ec = e.conj();
-            let x0 = data[b + p];
-            let y0 = data[b + q];
-            data[b + p] = x0.scale(c) - (e * y0).scale(s);
-            data[b + q] = (ec * x0).scale(s) + y0.scale(c);
-        }
-    }
-
-    // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the vector body covers whole pairs of
-    // complexes and the odd tail is handled separately.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rotate_rows_mirror(
-        data: &mut [Complex64],
-        stride: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let cv = _mm256_set1_pd(c);
-        let sv = _mm256_set1_pd(s);
-        let ev = broadcast(e);
-        let ecv = broadcast(e.conj());
-        let ec = e.conj();
-        let conj_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-        // SAFETY: all offsets are `r·stride + j` with `r, j < stride`,
-        // in bounds by the caller's square-buffer assert. Rotation
-        // touches only rows p and q; mirror writes go to rows
-        // k ∉ {p, q} — never a pending rotation input.
-        let base = data.as_mut_ptr();
-        let xp = base.add(p * stride) as *mut f64;
-        let yp = base.add(q * stride) as *mut f64;
-        // Column-store helper: mirror one rotated element pair into row
-        // j's (p, q) slots, skipping the pivot block. The conjugates
-        // come straight from registers — re-loading the just-stored row
-        // would defeat store-to-load forwarding.
-        let mirror = |j: usize, xcj: __m128d, ycj: __m128d| {
-            if j != p && j != q {
-                _mm_storeu_pd(base.add(j * stride + p) as *mut f64, xcj);
-                _mm_storeu_pd(base.add(j * stride + q) as *mut f64, ycj);
-            }
-        };
-        let mut k = 0;
-        while k + 2 <= stride {
-            let xv = _mm256_loadu_pd(xp.add(2 * k));
-            let yv = _mm256_loadu_pd(yp.add(2 * k));
-            let m = cmul(yv, ev);
-            let w = cmul(xv, ecv);
-            let xn = _mm256_sub_pd(_mm256_mul_pd(xv, cv), _mm256_mul_pd(m, sv));
-            let yn = _mm256_add_pd(_mm256_mul_pd(w, sv), _mm256_mul_pd(yv, cv));
-            _mm256_storeu_pd(xp.add(2 * k), xn);
-            _mm256_storeu_pd(yp.add(2 * k), yn);
-            let xc = _mm256_xor_pd(xn, conj_mask);
-            let yc = _mm256_xor_pd(yn, conj_mask);
-            mirror(k, _mm256_castpd256_pd128(xc), _mm256_castpd256_pd128(yc));
-            mirror(
-                k + 1,
-                _mm256_extractf128_pd(xc, 1),
-                _mm256_extractf128_pd(yc, 1),
-            );
-            k += 2;
-        }
-        while k < stride {
-            let x0 = *base.add(p * stride + k);
-            let y0 = *base.add(q * stride + k);
-            let xn = x0.scale(c) - (e * y0).scale(s);
-            let yn = (ec * x0).scale(s) + y0.scale(c);
-            *base.add(p * stride + k) = xn;
-            *base.add(q * stride + k) = yn;
-            if k != p && k != q {
-                *base.add(k * stride + p) = xn.conj();
-                *base.add(k * stride + q) = yn.conj();
-            }
-            k += 1;
-        }
-    }
-
-    // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the vector body covers whole pairs of
-    // complexes and the odd tail is handled separately.
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn caxpy(acc: &mut [Complex64], x: &[Complex64], a: Complex64) {
         let n = acc.len();
         let av = broadcast(a);
@@ -1023,125 +643,6 @@ mod avx512 {
     // stays inside the argument slices: the vector body covers whole
     // quads of complexes and the tail is handled separately.
     #[target_feature(enable = "avx512f", enable = "avx512dq")]
-    pub(super) unsafe fn givens_rotate(
-        x: &mut [Complex64],
-        y: &mut [Complex64],
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let n = x.len();
-        let cv = _mm512_set1_pd(c);
-        let sv = _mm512_set1_pd(s);
-        let ev = broadcast512(e);
-        let ecv = broadcast512(e.conj());
-        let xp = x.as_mut_ptr() as *mut f64;
-        let yp = y.as_mut_ptr() as *mut f64;
-        let quads = n / 4;
-        for k in 0..quads {
-            let xv = _mm512_loadu_pd(xp.add(8 * k));
-            let yv = _mm512_loadu_pd(yp.add(8 * k));
-            let m = cmul512(yv, ev); //  e·y
-            let w = cmul512(xv, ecv); // ē·x
-            let xn = _mm512_sub_pd(_mm512_mul_pd(xv, cv), _mm512_mul_pd(m, sv));
-            let yn = _mm512_add_pd(_mm512_mul_pd(w, sv), _mm512_mul_pd(yv, cv));
-            _mm512_storeu_pd(xp.add(8 * k), xn);
-            _mm512_storeu_pd(yp.add(8 * k), yn);
-        }
-        let done = quads * 4;
-        if done < n {
-            super::givens_rotate_scalar(&mut x[done..], &mut y[done..], c, s, e);
-        }
-    }
-
-    // SAFETY: callable only with AVX-512 F/DQ present — the level()
-    // dispatch proves that at runtime. Every pointer offset below
-    // stays inside the argument slices: the vector body covers whole
-    // quads of complexes and the tail is handled separately.
-    #[target_feature(enable = "avx512f", enable = "avx512dq")]
-    pub(super) unsafe fn rotate_rows_mirror(
-        data: &mut [Complex64],
-        stride: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let cv = _mm512_set1_pd(c);
-        let sv = _mm512_set1_pd(s);
-        let ev = broadcast512(e);
-        let ecv = broadcast512(e.conj());
-        let ec = e.conj();
-        let conj_mask = _mm512_set4_pd(-0.0, 0.0, -0.0, 0.0);
-        // SAFETY: identical argument to the AVX2 version — rotation
-        // touches only rows p and q, mirror writes only rows
-        // k ∉ {p, q}.
-        let base = data.as_mut_ptr();
-        let xp = base.add(p * stride) as *mut f64;
-        let yp = base.add(q * stride) as *mut f64;
-        // Mirror straight from registers (see the AVX2 version for why
-        // re-loading the stored rows would stall).
-        let mirror = |j: usize, xcj: __m128d, ycj: __m128d| {
-            if j != p && j != q {
-                _mm_storeu_pd(base.add(j * stride + p) as *mut f64, xcj);
-                _mm_storeu_pd(base.add(j * stride + q) as *mut f64, ycj);
-            }
-        };
-        let mut k = 0;
-        while k + 4 <= stride {
-            let xv = _mm512_loadu_pd(xp.add(2 * k));
-            let yv = _mm512_loadu_pd(yp.add(2 * k));
-            let m = cmul512(yv, ev);
-            let w = cmul512(xv, ecv);
-            let xn = _mm512_sub_pd(_mm512_mul_pd(xv, cv), _mm512_mul_pd(m, sv));
-            let yn = _mm512_add_pd(_mm512_mul_pd(w, sv), _mm512_mul_pd(yv, cv));
-            _mm512_storeu_pd(xp.add(2 * k), xn);
-            _mm512_storeu_pd(yp.add(2 * k), yn);
-            let xc = _mm512_xor_pd(xn, conj_mask);
-            let yc = _mm512_xor_pd(yn, conj_mask);
-            mirror(
-                k,
-                _mm512_extractf64x2_pd(xc, 0),
-                _mm512_extractf64x2_pd(yc, 0),
-            );
-            mirror(
-                k + 1,
-                _mm512_extractf64x2_pd(xc, 1),
-                _mm512_extractf64x2_pd(yc, 1),
-            );
-            mirror(
-                k + 2,
-                _mm512_extractf64x2_pd(xc, 2),
-                _mm512_extractf64x2_pd(yc, 2),
-            );
-            mirror(
-                k + 3,
-                _mm512_extractf64x2_pd(xc, 3),
-                _mm512_extractf64x2_pd(yc, 3),
-            );
-            k += 4;
-        }
-        while k < stride {
-            let x0 = *base.add(p * stride + k);
-            let y0 = *base.add(q * stride + k);
-            let xn = x0.scale(c) - (e * y0).scale(s);
-            let yn = (ec * x0).scale(s) + y0.scale(c);
-            *base.add(p * stride + k) = xn;
-            *base.add(q * stride + k) = yn;
-            if k != p && k != q {
-                *base.add(k * stride + p) = xn.conj();
-                *base.add(k * stride + q) = yn.conj();
-            }
-            k += 1;
-        }
-    }
-
-    // SAFETY: callable only with AVX-512 F/DQ present — the level()
-    // dispatch proves that at runtime. Every pointer offset below
-    // stays inside the argument slices: the vector body covers whole
-    // quads of complexes and the tail is handled separately.
-    #[target_feature(enable = "avx512f", enable = "avx512dq")]
     pub(super) unsafe fn caxpy(acc: &mut [Complex64], x: &[Complex64], a: Complex64) {
         let n = acc.len();
         let av = broadcast512(a);
@@ -1264,15 +765,6 @@ mod tests {
             // routes.
             for n in [1usize, 2, 3, 4, 5, 7, 8, 16, 50, 63, 100, 181, 625] {
                 let (x, y) = vecs(n, 1000 + n as u64);
-                let e = Complex64::cis(0.7);
-                let (c, s) = (0.8, 0.6);
-
-                let (mut xs, mut ys) = (x.clone(), y.clone());
-                givens_rotate_scalar(&mut xs, &mut ys, c, s, e);
-                let (mut xv, mut yv) = (x.clone(), y.clone());
-                givens_rotate(&mut xv, &mut yv, c, s, e);
-                assert_bits(&xs, &xv, "givens x");
-                assert_bits(&ys, &yv, "givens y");
 
                 let a = Complex64::new(0.3, -1.2);
                 let mut accs = y.clone();
@@ -1298,50 +790,6 @@ mod tests {
                 let fs = focus_accumulate_scalar(&x, &y, &w);
                 let fv = focus_accumulate(&x, &y, &w);
                 assert_bits(&fs, &fv, "focus");
-            }
-        }
-    }
-
-    #[test]
-    fn strided_column_rotation_matches_scalar_bitwise() {
-        let _guard = forced_guard();
-        for forced in available_levels() {
-            set_forced(Some(forced));
-            for (rows, stride) in [(1usize, 4usize), (2, 4), (5, 7), (50, 50), (8, 3)] {
-                let (data, _) = vecs(rows * stride, 31 * rows as u64 + stride as u64);
-                let (p, q) = (0, stride - 1);
-                let e = Complex64::cis(-1.3);
-                let mut ds = data.clone();
-                givens_rotate_cols_scalar(&mut ds, stride, p, q, 0.6, 0.8, e);
-                let mut dv = data.clone();
-                givens_rotate_cols(&mut dv, stride, p, q, 0.6, 0.8, e);
-                assert_bits(&ds, &dv, "strided rotation");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_rotate_mirror_matches_unfused_bitwise() {
-        let _guard = forced_guard();
-        for forced in available_levels() {
-            set_forced(Some(forced));
-            // Square sizes spanning remainder classes for both vector
-            // widths, with pivot pairs that sit inside, straddle, and
-            // bound the vector chunks.
-            for n in [2usize, 3, 4, 5, 7, 8, 13, 50] {
-                let (data, _) = vecs(n * n, 4242 + n as u64);
-                for (p, q) in [(0usize, 1usize), (0, n - 1), (n / 2, n - 1)] {
-                    if p >= q {
-                        continue;
-                    }
-                    let e = Complex64::cis(0.9);
-                    let (c, s) = (0.28, 0.96);
-                    let mut expect = data.clone();
-                    rotate_rows_mirror_scalar(&mut expect, n, p, q, c, s, e);
-                    let mut got = data.clone();
-                    rotate_rows_mirror(&mut got, n, p, q, c, s, e);
-                    assert_bits(&expect, &got, "fused rotate+mirror");
-                }
             }
         }
     }

@@ -8,9 +8,9 @@
 //! host supports, across odd lengths, unaligned sub-slices, and
 //! denormal-adjacent magnitudes:
 //!
-//! * **bitwise** for the dispatch-stable kernels (rotations, caxpy,
-//!   outer-product rows, butterflies, focus sums, the fused
-//!   rotate-and-mirror) and for the whole eigensolver end to end;
+//! * **bitwise** for the dispatch-stable kernels (caxpy, outer-product
+//!   rows, butterflies, focus sums) and for the whole eigensolver end to
+//!   end;
 //! * **≤ 1e-12 relative** for `cdot`, whose FMA lanes reassociate.
 //!
 //! Forcing a SIMD level mutates process-global state, so every test
@@ -106,30 +106,6 @@ fn sweep(mut op: impl FnMut(SimdLevel, usize, f64, usize, &mut Rng64)) {
 }
 
 #[test]
-fn givens_rotate_is_bitwise_scalar_at_every_level() {
-    let _l = force_lock();
-    sweep(|level, len, scale, offset, rng| {
-        let x0 = signal(rng, len + offset, scale);
-        let y0 = signal(rng, len + offset, scale);
-        let (c, s) = (rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0));
-        let e = Complex64::new(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0));
-
-        let (mut xs, mut ys) = (x0.clone(), y0.clone());
-        simd::givens_rotate_scalar(&mut xs[offset..], &mut ys[offset..], c, s, e);
-
-        let _g = force(level);
-        let (mut xv, mut yv) = (x0, y0);
-        simd::givens_rotate(&mut xv[offset..], &mut yv[offset..], c, s, e);
-        let what = format!(
-            "givens_rotate {} n={len} scale={scale:e} off={offset}",
-            level.name()
-        );
-        assert_bits_eq(&xv, &xs, &what);
-        assert_bits_eq(&yv, &ys, &what);
-    });
-}
-
-#[test]
 fn caxpy_and_outer_row_are_bitwise_scalar_at_every_level() {
     let _l = force_lock();
     sweep(|level, len, scale, offset, rng| {
@@ -203,40 +179,6 @@ fn cdot_matches_scalar_to_1e12_at_every_level() {
 }
 
 #[test]
-fn fused_rotate_mirror_is_bitwise_scalar_at_every_level() {
-    let _l = force_lock();
-    for &level in &available_levels() {
-        for &n in &[2usize, 3, 5, 8, 13, 50] {
-            for &scale in SCALES {
-                let mut rng = Rng64::seed_from_u64(0xF0CA ^ n as u64);
-                let m0 = signal(&mut rng, n * n, scale);
-                let (c, s) = (rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0));
-                let e = Complex64::new(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0));
-                for &(p, q) in &[(0, 1), (0, n - 1), (n / 2, n - 1)] {
-                    if p >= q {
-                        continue;
-                    }
-                    let mut ms = m0.clone();
-                    simd::rotate_rows_mirror_scalar(&mut ms, n, p, q, c, s, e);
-
-                    let _g = force(level);
-                    let mut mv = m0.clone();
-                    simd::rotate_rows_mirror(&mut mv, n, p, q, c, s, e);
-                    assert_bits_eq(
-                        &mv,
-                        &ms,
-                        &format!(
-                            "rotate_rows_mirror {} n={n} p={p} q={q} scale={scale:e}",
-                            level.name()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn whole_eigensolver_is_bitwise_identical_at_every_level() {
     let _l = force_lock();
     for &n in &[5usize, 13, 50] {
@@ -245,9 +187,8 @@ fn whole_eigensolver_is_bitwise_identical_at_every_level() {
             Complex64::new(rng.gen_range(-10.0, 10.0), rng.gen_range(-10.0, 10.0))
         });
         // (A + A^H)/2 is bit-Hermitian: both (i,j) and (j,i) fold the
-        // same two values through one commuting add, so the mirror
-        // fast path engages exactly as it does on real correlation
-        // matrices.
+        // same two values through one commuting add, exactly as real
+        // correlation matrices are.
         let mut h = &a + &a.hermitian();
         h.scale_mut(0.5);
 
